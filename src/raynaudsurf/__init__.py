@@ -9,85 +9,14 @@ mechanical pushforward engine and reports the induced graded local
 cohomology of the section ring.
 """
 
-from .params import (
-    InvalidParams,
-    Structure,
-    SurfaceParams,
-    check,
-    enumerate_families,
-    is_normal,
-    is_prime,
-    is_smooth,
-    validate,
-)
-from .numclass import (
-    ClassP,
-    ClassX,
-    E_P,
-    ETILDE,
-    FIBER_P,
-    FIBER_X,
-    canonical_P,
-    canonical_X,
-    branch_curve_class,
-    cusp_exponents,
-    fiber_genus,
-    frac_str,
-    intersect_P,
-    intersect_X,
-    is_ample_KX,
-    is_ample_P,
-    kodaira_vanishing_KX,
-    li_class,
-    polarization_class,
-    pullback_psi,
-    selfint_Etilde,
-)
-from .curvecoh import (
-    Cert,
-    CohCert,
-    RuleConflict,
-    TwistedSym,
-    cert_sum,
-    cert_to_json,
-    certify,
-    chi,
-    degree,
-    h0_cert,
-    h1_cert,
-    line_bundle_h0_bounds,
-    line_bundle_h0_lower,
-    quotient_degrees,
-    quotient_exponents,
-    rank,
-)
-from .surfcoh import (
-    PTerm,
-    SurfCert,
-    TermReduction,
-    TheoremContradicted,
-    ThmEntry,
-    ThmReport,
-    chi_X,
-    decompose,
-    decompose_twist,
-    h0_closed_form,
-    h1_nonvanishing_window,
-    h1neg_closed_form,
-    h2_closed_form,
-    h_surface,
-    nonneg_cutoff,
-    reduce_term,
-    result1_range,
-    surface_cert,
-    theorem_predicates,
-    zab_nonvanishing,
-)
-from .sectionring import (
-    LocalCohReport,
-    local_cohomology,
-    local_cohomology_report,
-    nonzero_negative_degrees,
-)
+from . import curvecoh, numclass, params, sectionring, surfcoh
+from .params import *
+from .numclass import *
+from .curvecoh import *
+from .surfcoh import *
+from .sectionring import *
+
+# Each module's __all__ is the one list of its public names.
+__all__ = params.__all__ + numclass.__all__ + curvecoh.__all__ + surfcoh.__all__ + sectionring.__all__
 
 __version__ = "0.1.0"

@@ -81,9 +81,8 @@ def _dump(obj: dict) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    structure = Structure.TANGO if args.tango else Structure.PRETANGO
     try:
-        params = validate(args.p, args.g, args.dD, args.e, args.ell, structure)
+        params = _params_from_args(args)
     except InvalidParams as err:
         if args.format == "json":
             print(_dump({"valid": False, "violations": err.violations}))
@@ -166,7 +165,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 {
                     "i": i,
                     "n": n,
-                    "h": {"kind": sc.h(i).kind, "lo": sc.h(i).lo, "hi": sc.h(i).hi},
+                    "h": sc.h(i).to_json(),
                     "chi": sc.chi,
                     "terms": [t.to_json() for t in sc.terms],
                 }

@@ -103,6 +103,9 @@ class Cert:
         hi = None if self.hi is None or other.hi is None else self.hi + other.hi
         return Cert(self.lo + other.lo, hi)
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
+
     def __str__(self) -> str:
         if self.is_exact:
             return f"Exact({self.lo})"
@@ -123,7 +126,7 @@ def cert_sum(certs: Iterable[Cert]) -> Cert:
 
 
 def cert_to_json(cert: Cert, chi_value: int) -> dict:
-    return {"kind": cert.kind, "lo": cert.lo, "hi": cert.hi, "chi": chi_value}
+    return {**cert.to_json(), "chi": chi_value}
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,12 @@ def check(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> list[
 
 @dataclass(frozen=True)
 class SurfaceParams:
-    """Validated tuple (p, g, dD, e, ell, structure); construction re-checks."""
+    """Validated tuple (p, g, dD, e, ell, structure).
+
+    Construction is the one place a tuple is checked: it raises
+    InvalidParams with every violated constraint, and it coerces a
+    structure given as a string to Structure.
+    """
 
     p: int
     g: int
@@ -129,6 +134,7 @@ class SurfaceParams:
         bad = check(self.p, self.g, self.dD, self.e, self.ell, self.structure)
         if bad:
             raise InvalidParams(bad)
+        object.__setattr__(self, "structure", _coerce_structure(self.structure))
 
     @property
     def dN(self) -> int:
@@ -174,24 +180,15 @@ class SurfaceParams:
 
 def validate(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> SurfaceParams:
     """Validate a raw tuple; raise InvalidParams with every violated constraint."""
-    bad = check(p, g, dD, e, ell, structure)
-    if bad:
-        raise InvalidParams(bad)
-    st = _coerce_structure(structure)
-    assert st is not None
-    return SurfaceParams(p, g, dD, e, ell, st)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+    return SurfaceParams(p, g, dD, e, ell, structure)
 
 
 def enumerate_families(max_p: int, max_g: int, max_dD: int) -> list[SurfaceParams]:
     """All valid tuples with p <= max_p, g <= max_g, dD <= max_dD.
 
-    Deterministically ordered, lexicographic on (p, ell, e, g, dD, structure);
-    both the Tango and the pre-Tango variant are emitted whenever their bounds
-    hold.
+    The loops nest in sort_key order, (p, ell, e, g, dD, structure), so the
+    list comes out sorted; both the Tango and the pre-Tango variant are
+    emitted whenever their bounds hold.
     """
     if max_p < 1 or max_g < 1 or max_dD < 1:
         raise ValueError("bounds must be positive")
@@ -205,13 +202,11 @@ def enumerate_families(max_p: int, max_g: int, max_dD: int) -> list[SurfaceParam
             for e in range(ell, max_dD + 1, ell):
                 if gcd(e, p) != 1:
                     continue
-                for dD in range(e, max_dD + 1, e):
-                    gmin = max(2, _ceil_div(p * dD + 2, 2))
-                    for g in range(gmin, max_g + 1):
+                for g in range(2, max_g + 1):
+                    for dD in range(e, min(max_dD, (2 * g - 2) // p) + 1, e):
                         fams.append(SurfaceParams(p, g, dD, e, ell, Structure.PRETANGO))
                         if p * dD == 2 * g - 2:
                             fams.append(SurfaceParams(p, g, dD, e, ell, Structure.TANGO))
-    fams.sort(key=SurfaceParams.sort_key)
     return fams
 
 

@@ -52,8 +52,7 @@ class LocalCohReport:
             "pieces": {},
         }
         for (j, n) in sorted(self.pieces):
-            c = self.pieces[(j, n)]
-            out["pieces"][f"{j},{n}"] = {"kind": c.kind, "lo": c.lo, "hi": c.hi}
+            out["pieces"][f"{j},{n}"] = self.pieces[(j, n)].to_json()
         return out
 
 

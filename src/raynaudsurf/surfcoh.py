@@ -22,10 +22,12 @@ R^1 pi_* O_P(m) = S^(-m-2)(E)^v (x) O(-D) for m <= -2 (zero for m >= -1),
 so every H^i(X, Z^n) is a direct sum of curve-level certificates and every
 Euler characteristic is an exact alternating sum over the same terms.
 
-The generic engine (decompose + reduce_term) is the single source of truth;
-the closed-form summations for h^0, h^2 and for h^1 at negative twists are
-re-implemented verbatim in the *_closed_form functions and in
-theorem_predicates so the two routes can be checked against each other.
+The engine (decompose_twist + reduce_term + certify, summed in
+surface_cert) is the only copy of the direct-image table and of the
+reduction rule.  The one closed form left, h1neg_closed_form, writes out
+the n < 0 sum for h^1 on its own; acceptance criterion 07 compares it with
+the engine.  The independent checks of the engine live in the tests:
+Riemann-Roch from numclass and Serre duality on the smooth (Tango) tuples.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .curvecoh import (
     Cert,
     CohCert,
     TwistedSym,
-    ZERO_CERT,
     cert_sum,
     certify,
     h0_cert,
@@ -59,10 +60,7 @@ __all__ = [
     "surface_cert",
     "h_surface",
     "chi_X",
-    "nonneg_cutoff",
-    "h0_closed_form",
     "h1neg_closed_form",
-    "h2_closed_form",
     "result1_range",
     "h1_nonvanishing_window",
     "zab_nonvanishing",
@@ -166,11 +164,9 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     """
     recs: list[TermReduction] = []
     for term in decompose_twist(params, a * n, b * n):
-        push = derived = None
-        if term.mtw >= 0:
-            push = certify(params, TwistedSym(False, term.mtw, term.t))
-        elif term.mtw <= -2:
-            derived = certify(params, TwistedSym(True, -term.mtw - 2, term.t - params.ell))
+        pi, r1pi = reduce_term(params, term, 0), reduce_term(params, term, 2)
+        push = None if pi is None else certify(params, pi)
+        derived = None if r1pi is None else certify(params, r1pi)
         tchi = (push.chi if push else 0) - (derived.chi if derived else 0)
         recs.append(TermReduction(term, push, derived, tchi))
     h0 = cert_sum(r.pushforward.h0 for r in recs if r.pushforward)
@@ -192,34 +188,6 @@ def chi_X(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> int:
     return surface_cert(params, n, a, b).chi
 
 
-def nonneg_cutoff(params: SurfaceParams, n: int) -> int:
-    """Largest index i whose twist term keeps a nonnegative O_P(1)-exponent.
-
-    For n = k*ell + r the summands i < ell-r carry k*E and the others
-    (k+1)*E, so the exponent is nonincreasing in i.  The cutoff is
-    [(k+1)*ell/(p+1)] when that index is one of the (k+1)*E summands
-    (i >= ell-r), and [k*ell/(p+1)] otherwise (round down), matching the
-    summation bounds of the closed-form h^0/h^2 expressions.
-    """
-    if n < 0:
-        raise ValueError("cutoff is defined for n >= 0")
-    ell, p = params.ell, params.p
-    k, r = divmod(n, ell)
-    upper = (k + 1) * ell // (p + 1)
-    return upper if r and upper >= ell - r else k * ell // (p + 1)
-
-
-def h0_closed_form(params: SurfaceParams, n: int) -> Cert:
-    """h^0 by the direct summation formula (S^k = 0 for k < 0 throughout)."""
-    if n < 0:
-        return ZERO_CERT  # negative powers of an ample sheaf
-    ell, p = params.ell, params.p
-    return cert_sum(
-        h0_cert(params, TwistedSym(False, (n + i) // ell - _mstep(params, i), i * p + n))
-        for i in range(ell)
-    )
-
-
 def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
     """h^1(X, Z^n) for n < 0 as the direct sum over the R^1-side twists:
 
@@ -234,25 +202,6 @@ def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
         )
         for i in range(1, params.ell)
     ]
-    return cert_sum(parts)
-
-
-def h2_closed_form(params: SurfaceParams, n: int) -> Cert:
-    """h^2 by the summation formula, keeping only negative-twist summands."""
-    ell, p = params.ell, params.p
-    parts: list[Cert] = []
-
-    def r1_part(term: PTerm) -> Cert:
-        sheaf = reduce_term(params, term, 2)
-        return ZERO_CERT if sheaf is None else certify(params, sheaf).h1
-
-    if n < 0:
-        parts.append(r1_part(PTerm(n, n)))
-        for i in range(1, ell):
-            parts.append(r1_part(PTerm(-_mstep(params, i), i * p + n)))
-        return cert_sum(parts)
-    for i in range(nonneg_cutoff(params, n) + 1, ell):
-        parts.append(r1_part(PTerm((n + i) // ell - _mstep(params, i), i * p + n)))
     return cert_sum(parts)
 
 
@@ -306,7 +255,7 @@ class ThmEntry:
             "theorem": self.theorem,
             "n": self.n,
             "claim": self.claim,
-            "h": None if self.cert is None else {"kind": self.cert.kind, "lo": self.cert.lo, "hi": self.cert.hi},
+            "h": None if self.cert is None else self.cert.to_json(),
             "verdict": self.verdict,
         }
 

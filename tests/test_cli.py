@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,9 @@ import pytest
 from raynaudsurf.cli import main
 
 PS1_FLAGS = ["-p", "2", "-g", "4", "--dD", "3", "-e", "3", "--ell", "3", "--tango"]
+PS2_FLAGS = ["-p", "3", "-g", "4", "--dD", "2", "-e", "2", "--ell", "2", "--tango"]
 PS3_FLAGS = ["-p", "3", "-g", "7", "--dD", "4", "-e", "4", "--ell", "4", "--tango"]
+PS4_FLAGS = ["-p", "5", "-g", "9", "--dD", "3", "-e", "3", "--ell", "3", "--pretango"]
 
 
 def run_cli(capsys, argv):
@@ -217,3 +220,59 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fiber_genus"] == 3
+
+
+# ------------------------------------------------------------- golden stdout
+
+WINDOW = ["--nmin", "-30", "--nmax", "30"]
+REFERENCE_FLAGS = {"PS1": PS1_FLAGS, "PS2": PS2_FLAGS, "PS3": PS3_FLAGS, "PS4": PS4_FLAGS}
+
+
+def golden_commands() -> dict[str, list[str]]:
+    cmds = {"theorems": ["theorems"]}
+    for name, flags in REFERENCE_FLAGS.items():
+        for fmt in ("json", "csv", "pretty"):
+            cmds[f"table {name} {fmt}"] = ["table", *flags, *WINDOW, "--format", fmt]
+    cmds["table PS1 Z_2,1"] = ["table", *PS1_FLAGS, *WINDOW, "--a", "2", "--b", "1"]
+    cmds["section-ring PS1"] = ["section-ring", *PS1_FLAGS, *WINDOW]
+    cmds["invariants PS3"] = ["invariants", *PS3_FLAGS]
+    cmds["validate PS4"] = ["validate", *PS4_FLAGS]
+    cmds["validate invalid"] = ["validate", "-p", "4", "-g", "4", "--dD", "2", "-e", "2", "--ell", "3", "--pretango"]
+    cmds["families csv"] = ["families", "--pmax", "7", "--gmax", "20", "--ddmax", "20", "--format", "csv"]
+    return cmds
+
+
+def stdout_md5(capsys, argv) -> str:
+    code, out, _ = run_cli(capsys, argv)
+    return hashlib.md5(f"{code}\n{out}".encode()).hexdigest()
+
+
+# md5 of "<exit code>\n<stdout>" per command.  Any change to a certificate,
+# to the enumeration order or to a serialization changes a hash; a change
+# meant to keep behaviour must keep all of them.
+GOLDEN_MD5 = {
+    "theorems": "112f8fbf71dd895d7c91fc2f0fd3a2a0",
+    "table PS1 json": "8de85ab458965a088f02c0bc641952c1",
+    "table PS1 csv": "e8f0524055281aea6a4140a0782db6af",
+    "table PS1 pretty": "d1bbe7c3d3c05eef416c1b952b2b0d62",
+    "table PS2 json": "67d78b3e6d199121b3eca41ee40602c8",
+    "table PS2 csv": "163679b9d3caeec4c59133d549dd5917",
+    "table PS2 pretty": "3fff69da70ca47658d97ea4ce25f3bbd",
+    "table PS3 json": "3e666eb1c1b3701e0fe703271e628b64",
+    "table PS3 csv": "9e6959de7f8a82f9095a0cf10db5e2c5",
+    "table PS3 pretty": "e591111fcaba46c9bae4e755089760b2",
+    "table PS4 json": "d8ee5363497c7995ff29ee6fbf1923da",
+    "table PS4 csv": "bd1497ff0b7785b476b48493f113a7d5",
+    "table PS4 pretty": "804ed0787c9e6b70e2826999f99d2a84",
+    "table PS1 Z_2,1": "d1a34cfbd5788f68c8ab74abb71e6941",
+    "section-ring PS1": "f96930c10f84e58839b2055fa3a779b0",
+    "invariants PS3": "952c5891dcfc7b6656c712ef3e4fe784",
+    "validate PS4": "236363f13fad6bc1ca041122a8521841",
+    "validate invalid": "4e2ecb2d8ec2b9c845743088320211a5",
+    "families csv": "b1a220d2db39f591de2288e976bf699b",
+}
+
+
+def test_golden_stdout_md5(capsys):
+    got = {label: stdout_md5(capsys, argv) for label, argv in golden_commands().items()}
+    assert got == GOLDEN_MD5

@@ -62,6 +62,7 @@ def test_validate_rejects_tango_without_equality():
 
 def test_structure_coercion_and_json_round_trip():
     params = validate(2, 4, 3, 3, 3, Structure.TANGO)
+    assert SurfaceParams(2, 4, 3, 3, 3, "TANGO") == params
     blob = json.dumps(params.to_json())
     assert SurfaceParams.from_json(blob) == params
     with pytest.raises(InvalidParams):
