@@ -6,7 +6,10 @@ of O(D) (so Nl^ell = O(D), deg Nl = dNl >= 1).  S^m(E) carries a filtration
 with line-bundle quotients Nl^(j*ell), j = 0..m, dualizing to Nl^(-j*ell);
 only this degree data, Riemann-Roch, the sharp vanishing
 h^0(S^m(E)^v (x) Nl^t) = 0 for m >= 1 and t < ell, and the unit-section
-inclusions O_C -> S^m(E) and O(-mD) -> S^m(E)^v enter the rules.
+inclusions O_C -> S^m(E) and O(-mD) -> S^m(E)^v enter the rules.  The
+quotient degrees form the arithmetic progression d_j = t*dNl + j*step,
+step = +-ell*dNl, so every rule reads them through the progression's
+endpoints and one arithmetic series: a certificate costs O(1) in m.
 
 In the middle degree range the true dimensions depend on the extension class
 of E, which degree data cannot see, so certificates there are intervals:
@@ -229,6 +232,22 @@ def _transport_h1(h0: Cert, chi_value: int) -> Cert:
     return Cert(lo, hi)
 
 
+def _clipped_series_sum(d0: int, step: int, m: int) -> int:
+    """sum(max(0, d0 + j*step + 1) for j in 0..m), step != 0, in closed form.
+
+    Only the terms with d_j >= 0 count (d_j = -1 adds 0), and they form one
+    end of 0..m; reversing a falling progression makes it the upper end.
+    """
+    if step < 0:
+        d0, step = d0 + m * step, -step
+    j0 = max(0, -(d0 // step))  # least j with d0 + j*step >= 0
+    k = m + 1 - j0
+    if k <= 0:
+        return 0
+    first, last = d0 + j0 * step, d0 + m * step
+    return k * (first + last) // 2 + k
+
+
 @lru_cache(maxsize=None)
 def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
     """Tightest certificate pair derivable from the degree-level rules.
@@ -240,25 +259,32 @@ def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
       floor.  The combiner takes the max of lower and the min of upper
       bounds; when every quotient degree exceeds 2g-2 the sheaf is
       nonspecial, h^1 is exactly 0 and h^0 is upgraded to Exact(chi).
+
+    The quotient degrees d_j = t*dNl + j*step (step = +-ell*dNl) are never
+    listed: R4 is max(d_0, d_m) < 0, the nonspecial test is
+    min(d_0, d_m) > 2g-2 and R5 is one arithmetic series, so the work is
+    O(1) in m.
     """
     if sheaf.is_zero:
         return CohCert(sheaf, 0, ZERO_CERT, ZERO_CERT)
     c = chi(params, sheaf)
-    degs = quotient_degrees(params, sheaf)
+    step = (-1 if sheaf.dualized else 1) * params.ell * params.dNl
+    d0 = sheaf.t * params.dNl
+    dm = d0 + sheaf.m * step
     if sheaf.m == 0:
         lo, hi = line_bundle_h0_bounds(params, sheaf.t)
     else:
         lo = max(0, c)
-        hi = sum(max(0, d + 1) for d in degs)
+        hi = _clipped_series_sum(d0, step, sheaf.m)
         if sheaf.dualized and sheaf.t < params.ell:
             hi = min(hi, 0)
-        if all(d < 0 for d in degs):
+        if max(d0, dm) < 0:
             hi = min(hi, 0)
         if not sheaf.dualized and sheaf.t >= 0:
             lo = max(lo, line_bundle_h0_lower(params, sheaf.t))
         if sheaf.dualized and sheaf.t >= sheaf.m * params.ell:
             lo = max(lo, line_bundle_h0_lower(params, sheaf.t - sheaf.m * params.ell))
-    nonspecial = min(degs) > 2 * params.g - 2
+    nonspecial = min(d0, dm) > 2 * params.g - 2
     if nonspecial:
         lo = max(lo, c)
         hi = min(hi, c)

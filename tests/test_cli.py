@@ -276,3 +276,40 @@ GOLDEN_MD5 = {
 def test_golden_stdout_md5(capsys):
     got = {label: stdout_md5(capsys, argv) for label, argv in golden_commands().items()}
     assert got == GOLDEN_MD5
+
+
+# ------------------------------------------------------------ bounded work
+
+
+def test_table_never_lists_the_filtration(capsys, monkeypatch):
+    # certify reads the filtration in closed form: with the listing
+    # functions disabled and the caches cold, every table still renders.
+    import raynaudsurf.curvecoh as curvecoh
+    import raynaudsurf.surfcoh as surfcoh
+
+    def listed(*_args):
+        raise AssertionError("the filtration was listed")
+
+    monkeypatch.setattr(curvecoh, "quotient_degrees", listed)
+    monkeypatch.setattr(curvecoh, "quotient_exponents", listed)
+    curvecoh.certify.cache_clear()
+    surfcoh.surface_cert.cache_clear()
+    for flags in REFERENCE_FLAGS.values():
+        code, out, err = run_cli(capsys, ["table", *flags, *WINDOW])
+        assert code == 0, err
+        assert len(json.loads(out)["rows"]) == 3 * 61
+
+
+def test_table_huge_polarization_exponent(capsys):
+    # Z_{a,1} with a = 10**9 pushes forward to S^m(E) with m near a/ell.
+    from raynaudsurf import canonical_X, intersect_X, polarization_class, surface_cert
+
+    from conftest import PS1
+
+    a = 10**9
+    code, out, _ = run_cli(capsys, ["table", *PS1_FLAGS, "--a", str(a), "--nmin", "-1", "--nmax", "1"])
+    assert code == 0
+    chi_n1 = {row["chi"] for row in json.loads(out)["rows"] if row["n"] == 1}
+    z, kx = polarization_class(PS1, a, 1), canonical_X(PS1)
+    rr = surface_cert(PS1, 0).chi + (intersect_X(PS1, z, z) - intersect_X(PS1, z, kx)) / 2
+    assert chi_n1 == {rr}

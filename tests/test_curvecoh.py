@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from raynaudsurf import (
     Cert,
+    CohCert,
     RuleConflict,
     TwistedSym,
     cert_sum,
@@ -16,10 +17,12 @@ from raynaudsurf import (
     h0_cert,
     h1_cert,
     line_bundle_h0_bounds,
+    line_bundle_h0_lower,
     quotient_degrees,
     quotient_exponents,
     rank,
 )
+from raynaudsurf.curvecoh import _clipped_series_sum, _transport_h1
 
 from conftest import PS1, PS2, PS3, PS4
 
@@ -218,3 +221,103 @@ def test_certificates_well_formed_random(s):
         assert cc.h0.hi is not None and cc.h1.hi is not None
         if s.is_zero:
             assert cc.h0 == Cert.exact(0) and cc.h1 == Cert.exact(0)
+
+
+# --------------------------------------------- closed form vs the filtration
+
+
+def _enumerated_certify(params, s):
+    # Reference: R4, R5 and the nonspecial test read off the listed quotient
+    # degrees, one term per filtration step; the other rules as in certify.
+    if s.is_zero:
+        return CohCert(s, 0, Cert.exact(0), Cert.exact(0))
+    c = chi(params, s)
+    degs = quotient_degrees(params, s)
+    if s.m == 0:
+        lo, hi = line_bundle_h0_bounds(params, s.t)
+    else:
+        lo = max(0, c)
+        hi = sum(max(0, d + 1) for d in degs)  # R5
+        if s.dualized and s.t < params.ell:
+            hi = min(hi, 0)
+        if all(d < 0 for d in degs):  # R4
+            hi = min(hi, 0)
+        if not s.dualized and s.t >= 0:
+            lo = max(lo, line_bundle_h0_lower(params, s.t))
+        if s.dualized and s.t >= s.m * params.ell:
+            lo = max(lo, line_bundle_h0_lower(params, s.t - s.m * params.ell))
+    nonspecial = min(degs) > 2 * params.g - 2
+    if nonspecial:
+        lo, hi = max(lo, c), min(hi, c)
+    h0 = Cert(lo, hi)
+    return CohCert(s, c, h0, Cert.exact(0) if nonspecial else _transport_h1(h0, c))
+
+
+def test_certify_matches_enumerated_filtration(sweep_small):
+    # Uncached calls, so the sweep leaves certify's cache as it found it.
+    closed_form = certify.__wrapped__
+    checked = 0
+    for f in sweep_small:
+        for dual in (False, True):
+            for m in range(0, 3 * f.ell + 7):
+                bound = (m + 2) * f.ell
+                for t in range(-bound, bound + 1):
+                    s = TwistedSym(dual, m, t)
+                    assert closed_form(f, s) == _enumerated_certify(f, s), (f, s)
+                    checked += 1
+    assert checked > 90_000
+
+
+def _listed_sum(d0, step, m):
+    return sum(max(0, d0 + j * step + 1) for j in range(m + 1))
+
+
+@pytest.mark.parametrize(
+    "d0, step, m, expected",
+    [
+        (-1, 3, 0, 0),  # d = -1 adds max(0, 0) = 0, not 1
+        (-1, -3, 4, 0),
+        (-1, 1, 2, 0 + 1 + 2),
+        (-6, 3, 4, 0 + 1 + 4 + 7),  # d0 a multiple of step: d_2 = 0 counts 1
+        (6, -3, 4, 7 + 4 + 1),
+        (-7, 3, 5, 0 + 0 + 0 + 3 + 6 + 9),  # crossing inside 0..m, rising
+        (7, -3, 5, 8 + 5 + 2),  # crossing inside 0..m, falling
+        (0, 2, 1, 1 + 3),  # m = 1
+        (0, -2, 1, 1),
+        (-5, -1, 1, 0),
+        (4, 2, 1, 5 + 7),
+        (-10, 3, 2, 0),  # every degree negative
+        (10, -3, 2, 11 + 8 + 5),  # every degree non-negative
+    ],
+)
+def test_clipped_series_sum_edges(d0, step, m, expected):
+    assert _clipped_series_sum(d0, step, m) == expected == _listed_sum(d0, step, m)
+
+
+def test_clipped_series_sum_matches_listing():
+    for step in (-7, -3, -2, -1, 1, 2, 3, 7):
+        for m in range(0, 12):
+            for d0 in range(-40, 41):
+                assert _clipped_series_sum(d0, step, m) == _listed_sum(d0, step, m), (d0, step, m)
+
+
+def test_certify_bounded_work_at_huge_m():
+    # m = 10**12 lists 10**12 quotients; the closed form sees two endpoints.
+    # PS1 has ell = 3, dNl = 1, g = 4, dD = 3, so degrees step by 3.
+    m = 10**12
+    full = (m + 1) + 3 * m * (m + 1) // 2  # sum over j of (3j + 1)
+    chi_full = 3 * m * (m + 1) // 2 - 3 * (m + 1)
+    # S^m(E): degrees 0, 3, .., 3m; R6 gives lo = chi, R5 gives hi.
+    cc = certify(PS1, TwistedSym(False, m, 0))
+    assert cc.chi == chi_full
+    assert cc.h0 == Cert.between(chi_full, full)
+    assert cc.h1 == Cert.between(0, full - chi_full)
+    # S^m(E)^v (x) Nl^(m*ell): degrees 3m, .., 3, 0, the same multiset.
+    cc = certify(PS1, TwistedSym(True, m, 3 * m))
+    assert cc.chi == chi_full
+    assert cc.h0 == Cert.between(chi_full, full)
+    # Dual with t = 3k: degrees 3(k - j) are non-negative for j <= k only.
+    k = 10**6
+    cc = certify(PS1, TwistedSym(True, m, 3 * k))
+    assert cc.h0 == Cert.between(0, (k + 1) + 3 * k * (k + 1) // 2)
+    assert cc.chi == -3 * m * (m + 1) // 2 + (m + 1) * 3 * k - 3 * (m + 1)
