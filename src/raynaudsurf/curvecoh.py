@@ -51,7 +51,7 @@ class RuleConflict(RuntimeError):
     """Two certificate rules produced an empty interval: an internal bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cert:
     """A certified interval for a cohomology dimension.
 
@@ -132,7 +132,7 @@ def cert_to_json(cert: Cert, chi_value: int) -> dict:
     return {**cert.to_json(), "chi": chi_value}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistedSym:
     """S^m(E) (x) Nl^t, or its dual sym power when dualized; m < 0 is the zero sheaf."""
 
@@ -203,7 +203,7 @@ def line_bundle_h0_lower(params: SurfaceParams, t: int) -> int:
     return line_bundle_h0_bounds(params, t)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohCert:
     """h^0 and h^1 certificates for one sheaf, paired with its exact chi."""
 

@@ -1,19 +1,16 @@
 """Surface cohomology via the pushforward ladder X -> P -> C.
 
 The degree-ell cover trades powers of the polarization for a direct sum of
-O_P(1)-twists: with M = O_P(-(p+1)/ell) (x) pi^* Nl^p,
+O_P(1)-twists: with M = O_P(-(p+1)/ell) (x) pi^* Nl^p, for every m in Z
 
-  psi_* O_X(m*Etilde)  = (+)_{i=0..ell-1} M^i([(m+i)/ell] E)   (m >= 0),
-  psi_* O_X(-k*Etilde) = O_P(-kE) (+) (+)_{i=1..ell-1} M^i     (k > 0).
+  psi_* O_X(m*Etilde) = (+)_{i=0..ell-1} M^i([(m+i)/ell] E).
 
-The m >= 0 row is the cyclic-cover eigensheaf formula: a local section
-f*z^i of the i-th eigensheaf (z^ell cutting out E, so psi^*E = ell*Etilde)
-has a pole of order at most m along Etilde iff ell*v_E(f) + i >= -m, i.e.
-f has a pole of order at most [(m+i)/ell] along E.  The m < 0 row does not
-follow it yet and stays until the negative-twist checks built on it are
-reconciled: it agrees with the eigensheaf formula only at m = -1, and the
-projection formula psi_* O_X(-ell*Etilde) = O_P(-E) (x) psi_* O_X shows the
-O_P(-E) factor it drops.
+This is the cyclic-cover eigensheaf formula (Esnault-Viehweg, Lectures on
+Vanishing Theorems, Sec. 3): a local section f*z^i of the i-th eigensheaf
+(z^ell cutting out E, so psi^*E = ell*Etilde) has a pole of order at most m
+along Etilde iff ell*v_E(f) + i >= -m, i.e. f has a pole of order at most
+[(m+i)/ell] along E.  The argument never uses the sign of m; at m = -ell it
+is the projection formula psi_* O_X(-ell*Etilde) = O_P(-E) (x) psi_* O_X.
 
 Tensoring Z^n = O_X(n*Etilde) (x) phi^* Nl^n just shifts every Nl
 exponent by n.  Each resulting term O_P(mtw) (x) pi^* Nl^t reduces to the
@@ -68,7 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PTerm:
     """O_P(mtw) (x) pi^* Nl^t; mtw is integral because ell | i(p+1)."""
 
@@ -87,9 +84,7 @@ def _mstep(params: SurfaceParams, i: int) -> int:
 def decompose_twist(params: SurfaceParams, m: int, tw: int) -> tuple[PTerm, ...]:
     """Terms of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw."""
     ell, p = params.ell, params.p
-    if m >= 0:
-        return tuple(PTerm((m + i) // ell - _mstep(params, i), i * p + tw) for i in range(ell))
-    return (PTerm(m, tw),) + tuple(PTerm(-_mstep(params, i), i * p + tw) for i in range(1, ell))
+    return tuple(PTerm((m + i) // ell - _mstep(params, i), i * p + tw) for i in range(ell))
 
 
 def decompose(params: SurfaceParams, n: int) -> tuple[PTerm, ...]:
@@ -115,7 +110,7 @@ def reduce_term(params: SurfaceParams, term: PTerm, i: int) -> TwistedSym | None
     return TwistedSym(True, -term.mtw - 2, term.t - params.ell)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermReduction:
     """One pushforward term with its curve certificates and chi contribution."""
 
@@ -134,7 +129,7 @@ class TermReduction:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfCert:
     """Certificates for h^0, h^1, h^2 of one power of the polarization."""
 
@@ -189,18 +184,23 @@ def chi_X(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> int:
 
 
 def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
-    """h^1(X, Z^n) for n < 0 as the direct sum over the R^1-side twists:
+    """h^1(X, Z^n) for n < 0 as the direct sum over the R^1-side twists.
 
-        (+)_{i=1..ell-1} H^0(C, S^(i(p+1)/ell - 2)(E)^v (x) Nl^(i*p - ell + n)).
+    Summand i of Z^n has mtw = [(n+i)/ell] - i(p+1)/ell and t = i*p + n.
+    For n < 0 and 0 <= i <= ell-1 the floor is at most 0, it is at most -1
+    at i = 0, and i(p+1)/ell > 0 for i >= 1, so every mtw is negative: no
+    summand has a pi_* part, and h^1 is the H^0 of the R^1 pi_* sides alone,
+
+        (+)_{i=0..ell-1} H^0(C, S^(i(p+1)/ell - [(n+i)/ell] - 2)(E)^v (x) Nl^(i*p + n - ell)),
+
+    where a summand with mtw = -1 is the zero sheaf.
     """
     if n >= 0:
         raise ValueError("closed form only covers n < 0")
+    ell, p = params.ell, params.p
     parts = [
-        h0_cert(
-            params,
-            TwistedSym(True, _mstep(params, i) - 2, i * params.p - params.ell + n),
-        )
-        for i in range(1, params.ell)
+        h0_cert(params, TwistedSym(True, _mstep(params, i) - (n + i) // ell - 2, i * p + n - ell))
+        for i in range(ell)
     ]
     return cert_sum(parts)
 
@@ -210,8 +210,20 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def h1_nonvanishing_window(params: SurfaceParams) -> int:
-    """-(ell - ceil(2*ell/(p+1))): H^1(X, Z^n) != 0 for this bound <= n <= -1."""
-    return -(params.ell - _ceil_div(2 * params.ell, params.p + 1))
+    """-min([ell/2], ell - ceil(2*ell/(p+1))): H^1(X, Z^n) != 0 for this bound <= n <= -1.
+
+    The witness is the unit section of summand i = n + ell.  For
+    -ell <= n <= -1 summand i lies in row [(n+i)/ell] = 0 exactly when
+    i >= -n, so i = n + ell is in row 0 iff n >= -ell/2.  Its R^1 pi_* side
+    is S^k(E)^v (x) Nl^(i*p + n - ell) with k = i(p+1)/ell - 2, and when
+    k >= 0, i.e. i >= 2*ell/(p+1), the dual of S^k(E) ->> O(kD) embeds
+    O(-kD) = Nl^(-k*ell) in it.  The twisted line bundle is then
+    Nl^(i*p + n - ell - i(p+1) + 2*ell) = Nl^(n + ell - i) = O_C, whose
+    constant section is a nonzero class in H^0(C, R^1 pi_*) within H^1(X, Z^n).
+    For p <= 3 and for ell = 2 the two terms of the min are equal.
+    """
+    ell = params.ell
+    return -min(ell // 2, ell - _ceil_div(2 * ell, params.p + 1))
 
 
 def result1_range(params: SurfaceParams) -> list[int]:
@@ -222,18 +234,23 @@ def result1_range(params: SurfaceParams) -> list[int]:
 def zab_nonvanishing(params: SurfaceParams, a: int, b: int) -> Cert:
     """Certificate for h^1(X, Z_{a,b}^{-1}).
 
-    The constants embed through the i = ell-b summand of R^1 phi_* whenever
-    the symmetric power there is nonzero, i.e. (ell-b)(p+1) >= 2*ell; that
-    gives the constructive LowerBound(1), independent of a.  When the
-    witness summand is the zero sheaf (b = ell-1 with ell = p+1) no
-    inclusion exists and the engine certificate is returned instead; the
-    engine in fact certifies Exact(0) there.
+    Z_{a,b}^{-1} pushes down to decompose_twist(-a, -b): summand i has
+    mtw = [(i-a)/ell] - i(p+1)/ell and t = i*p - b.  The witness summand is
+    i = ell-b, in row [(ell-b-a)/ell], which is 0 when a <= ell-b and -1 or
+    lower once a > ell-b.  In row 0 its R^1 pi_* side is S^k(E)^v (x)
+    Nl^((ell-b)p - b - ell) with k = (ell-b)(p+1)/ell - 2, and for k >= 0,
+    i.e. (ell-b)(p+1) >= 2*ell, O(-kD) = Nl^(-k*ell) embeds in S^k(E)^v, and
+    the twist becomes Nl^((ell-b)p - b - ell - k*ell) = Nl^0 = O_C, whose
+    constant section gives the constructive LowerBound(1).
+    Otherwise (a lower row, or the witness symmetric power is the zero
+    sheaf, as at b = ell-1 with ell = p+1) the engine certificate is
+    returned.
     """
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
     if not 1 <= b <= params.ell - 1:
         raise ValueError(f"b must lie in 1..ell-1, got {b}")
-    if (params.ell - b) * (params.p + 1) >= 2 * params.ell:
+    if a <= params.ell - b and (params.ell - b) * (params.p + 1) >= 2 * params.ell:
         return Cert.at_least(line_bundle_h0_lower(params, 0))
     return h_surface(params, 1, -1, a, b)
 

@@ -6,13 +6,15 @@ tolerances are exact (integer certificates); nothing is calibrated later.
 One check is deliberately left red, with the analysis kept alongside the
 code rather than papered over:
 
-* criterion 9: the twisted-family non-vanishing claim fails at b = ell-1
-  when ell = p+1, where the constants witness would have to embed into the
-  zero sheaf; the engine proves h^1(X, Z_{a,ell-1}^{-1}) = Exact(0) there,
-  so certifying a lower bound of 1 would be unsound.  What the check should
-  assert instead is not settled: the paper's (a, b) range is not recorded
-  here, and the a-range also rests on the m < 0 direct-image rows, which
-  do not yet follow the cyclic-cover eigensheaf formula.
+* criterion 9: the twisted-family non-vanishing claim fails on 2061 of its
+  2790 cells (1380 Exact(0), 681 Range).  The constants witness sits in
+  summand i = ell-b, in row floor((ell-b-a)/ell), so it exists only for
+  a <= ell-b (1260 of the Exact(0) cells have a > ell-b) and only where the
+  symmetric power there is nonzero, which fails at b = ell-1 when
+  ell = p+1; where the engine proves Exact(0), certifying a lower bound of
+  1 would be unsound.  What the check should assert instead is not
+  settled: the paper's (a, b) range is not recorded here.  The a-range
+  itself now comes from the one eigensheaf formula used for every twist.
 """
 
 from __future__ import annotations
