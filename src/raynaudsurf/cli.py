@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import __version__
@@ -28,18 +27,7 @@ from .params import InvalidParams, Structure, SurfaceParams, enumerate_families,
 from .sectionring import local_cohomology_report
 from .surfcoh import TheoremContradicted, surface_cert, theorem_predicates
 
-DEFAULT_NMAX = 100
-
-
-def _env_nmax() -> int:
-    raw = os.environ.get("RAYNAUD_NMAX", str(DEFAULT_NMAX))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit2(f"RAYNAUD_NMAX must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit2(f"RAYNAUD_NMAX must be positive, got {cap}")
-    return cap
+NMAX = 100
 
 
 class SystemExit2(Exception):
@@ -69,11 +57,8 @@ def _params_from_args(args: argparse.Namespace) -> SurfaceParams:
 def _check_window(nmin: int, nmax: int) -> None:
     if nmin > nmax:
         raise SystemExit2(f"--nmin {nmin} exceeds --nmax {nmax}")
-    cap = _env_nmax()
-    if max(abs(nmin), abs(nmax)) > cap:
-        raise SystemExit2(
-            f"|n| is capped at {cap} (RAYNAUD_NMAX); requested window [{nmin}, {nmax}]"
-        )
+    if max(abs(nmin), abs(nmax)) > NMAX:
+        raise SystemExit2(f"|n| is capped at {NMAX}; requested window [{nmin}, {nmax}]")
 
 
 def _dump(obj: dict) -> str:
@@ -189,34 +174,33 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_families(args: argparse.Namespace) -> int:
     if args.pmax < 1 or args.gmax < 1 or args.ddmax < 1:
         raise SystemExit2("--pmax, --gmax, --ddmax must be positive")
-    fams = enumerate_families(args.pmax, args.gmax, args.ddmax)
-    if args.format == "json":
-        for f in fams:
-            print(_dump(f.to_json()))
-    elif args.format == "csv":
+    if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["p", "g", "dD", "e", "ell", "structure"])
-        for f in fams:
+    total = 0
+    for f in enumerate_families(args.pmax, args.gmax, args.ddmax):
+        total += 1
+        if args.format == "json":
+            print(_dump(f.to_json()))
+        elif args.format == "csv":
             writer.writerow([f.p, f.g, f.dD, f.e, f.ell, f.structure.value])
-    else:
-        for f in fams:
+        else:
             print(
                 f"p={f.p} g={f.g} dD={f.dD} e={f.e} ell={f.ell} {f.structure.value}"
                 f"  (dN={f.dN}, dNl={f.dNl})"
             )
-    print(f"total: {len(fams)}", file=sys.stderr)
+    print(f"total: {total}", file=sys.stderr)
     return 0
 
 
 def _cmd_theorems(args: argparse.Namespace) -> int:
     if args.pmax < 1 or args.gmax < 1 or args.ddmax < 1:
         raise SystemExit2("--pmax, --gmax, --ddmax must be positive")
-    cap = _env_nmax()
-    if abs(args.nmin) > cap:
-        raise SystemExit2(f"|n| is capped at {cap} (RAYNAUD_NMAX); requested nmin {args.nmin}")
-    fams = enumerate_families(args.pmax, args.gmax, args.ddmax)
-    stronger = 0
-    for f in fams:
+    if abs(args.nmin) > NMAX:
+        raise SystemExit2(f"|n| is capped at {NMAX}; requested nmin {args.nmin}")
+    tuples = stronger = 0
+    for f in enumerate_families(args.pmax, args.gmax, args.ddmax):
+        tuples += 1
         report = theorem_predicates(f, nneg_min=args.nmin)
         stronger += len(report.stronger)
         if args.format == "json":
@@ -226,7 +210,7 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
                 f"p={f.p} g={f.g} dD={f.dD} e={f.e} ell={f.ell} {f.structure.value}: "
                 f"{len(report.entries)} checks, {len(report.stronger)} unresolved"
             )
-    print(f"tuples: {len(fams)}, unresolved: {stronger}", file=sys.stderr)
+    print(f"tuples: {tuples}, unresolved: {stronger}", file=sys.stderr)
     return 0
 
 

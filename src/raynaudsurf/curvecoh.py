@@ -34,16 +34,10 @@ __all__ = [
     "ZERO_CERT",
     "rank",
     "degree",
-    "quotient_exponents",
-    "quotient_degrees",
     "chi",
     "line_bundle_h0_bounds",
-    "line_bundle_h0_lower",
     "certify",
-    "h0_cert",
-    "h1_cert",
     "cert_sum",
-    "cert_to_json",
 ]
 
 
@@ -79,10 +73,6 @@ class Cert:
     @classmethod
     def at_least(cls, k: int) -> "Cert":
         return cls(k, None)
-
-    @classmethod
-    def between(cls, lo: int, hi: int) -> "Cert":
-        return cls(lo, hi)
 
     @property
     def kind(self) -> str:
@@ -128,10 +118,6 @@ def cert_sum(certs: Iterable[Cert]) -> Cert:
     return total
 
 
-def cert_to_json(cert: Cert, chi_value: int) -> dict:
-    return {**cert.to_json(), "chi": chi_value}
-
-
 @dataclass(frozen=True, slots=True)
 class TwistedSym:
     """S^m(E) (x) Nl^t, or its dual sym power when dualized; m < 0 is the zero sheaf."""
@@ -155,18 +141,6 @@ def degree(params: SurfaceParams, sheaf: TwistedSym) -> int:
     sign = -1 if sheaf.dualized else 1
     m, t = sheaf.m, sheaf.t
     return sign * (m * (m + 1) // 2) * params.dD + (m + 1) * t * params.dNl
-
-
-def quotient_exponents(params: SurfaceParams, sheaf: TwistedSym) -> tuple[int, ...]:
-    """Nl-exponents of the line-bundle quotients of the filtration."""
-    if sheaf.is_zero:
-        return ()
-    sign = -1 if sheaf.dualized else 1
-    return tuple(sign * j * params.ell + sheaf.t for j in range(sheaf.m + 1))
-
-
-def quotient_degrees(params: SurfaceParams, sheaf: TwistedSym) -> tuple[int, ...]:
-    return tuple(e * params.dNl for e in quotient_exponents(params, sheaf))
 
 
 def chi(params: SurfaceParams, sheaf: TwistedSym) -> int:
@@ -199,10 +173,6 @@ def line_bundle_h0_bounds(params: SurfaceParams, t: int) -> tuple[int, int]:
     return lo, deg + 1
 
 
-def line_bundle_h0_lower(params: SurfaceParams, t: int) -> int:
-    return line_bundle_h0_bounds(params, t)[0]
-
-
 @dataclass(frozen=True, slots=True)
 class CohCert:
     """h^0 and h^1 certificates for one sheaf, paired with its exact chi."""
@@ -218,8 +188,8 @@ class CohCert:
             "m": self.sheaf.m,
             "t": self.sheaf.t,
             "chi": self.chi,
-            "h0": cert_to_json(self.h0, self.chi),
-            "h1": cert_to_json(self.h1, self.chi),
+            "h0": {**self.h0.to_json(), "chi": self.chi},
+            "h1": {**self.h1.to_json(), "chi": self.chi},
         }
 
 
@@ -281,9 +251,9 @@ def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
         if max(d0, dm) < 0:
             hi = min(hi, 0)
         if not sheaf.dualized and sheaf.t >= 0:
-            lo = max(lo, line_bundle_h0_lower(params, sheaf.t))
+            lo = max(lo, line_bundle_h0_bounds(params, sheaf.t)[0])
         if sheaf.dualized and sheaf.t >= sheaf.m * params.ell:
-            lo = max(lo, line_bundle_h0_lower(params, sheaf.t - sheaf.m * params.ell))
+            lo = max(lo, line_bundle_h0_bounds(params, sheaf.t - sheaf.m * params.ell)[0])
     nonspecial = min(d0, dm) > 2 * params.g - 2
     if nonspecial:
         lo = max(lo, c)
@@ -293,11 +263,3 @@ def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
     h0 = Cert(lo, hi)
     h1 = ZERO_CERT if nonspecial else _transport_h1(h0, c)
     return CohCert(sheaf, c, h0, h1)
-
-
-def h0_cert(params: SurfaceParams, sheaf: TwistedSym) -> Cert:
-    return certify(params, sheaf).h0
-
-
-def h1_cert(params: SurfaceParams, sheaf: TwistedSym) -> Cert:
-    return certify(params, sheaf).h1

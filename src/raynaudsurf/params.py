@@ -12,10 +12,10 @@ only the numeric constraints are enforced.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import Iterator
 
 __all__ = [
     "Structure",
@@ -159,40 +159,22 @@ class SurfaceParams:
             "structure": self.structure.value,
         }
 
-    @classmethod
-    def from_json(cls, obj: str | dict) -> "SurfaceParams":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if not isinstance(obj, dict):
-            raise InvalidParams([f"ConstraintViolated(json object): got {obj!r}"])
-        required = {"p", "g", "dD", "e", "ell", "structure"}
-        extra = set(obj) - required
-        missing = required - set(obj)
-        if extra or missing:
-            bad = []
-            if missing:
-                bad.append(f"ConstraintViolated(missing keys): {sorted(missing)}")
-            if extra:
-                bad.append(f"ConstraintViolated(unknown keys): {sorted(extra)}")
-            raise InvalidParams(bad)
-        return validate(obj["p"], obj["g"], obj["dD"], obj["e"], obj["ell"], obj["structure"])
-
 
 def validate(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> SurfaceParams:
     """Validate a raw tuple; raise InvalidParams with every violated constraint."""
     return SurfaceParams(p, g, dD, e, ell, structure)
 
 
-def enumerate_families(max_p: int, max_g: int, max_dD: int) -> list[SurfaceParams]:
-    """All valid tuples with p <= max_p, g <= max_g, dD <= max_dD.
+def enumerate_families(max_p: int, max_g: int, max_dD: int) -> Iterator[SurfaceParams]:
+    """Yield every valid tuple with p <= max_p, g <= max_g, dD <= max_dD.
 
     The loops nest in sort_key order, (p, ell, e, g, dD, structure), so the
-    list comes out sorted; both the Tango and the pre-Tango variant are
-    emitted whenever their bounds hold.
+    tuples come out sorted; both the Tango and the pre-Tango variant are
+    yielded whenever their bounds hold.  The bounds are checked when the
+    first tuple is requested.
     """
     if max_p < 1 or max_g < 1 or max_dD < 1:
         raise ValueError("bounds must be positive")
-    fams: list[SurfaceParams] = []
     for p in range(2, max_p + 1):
         if not is_prime(p):
             continue
@@ -204,10 +186,9 @@ def enumerate_families(max_p: int, max_g: int, max_dD: int) -> list[SurfaceParam
                     continue
                 for g in range(2, max_g + 1):
                     for dD in range(e, min(max_dD, (2 * g - 2) // p) + 1, e):
-                        fams.append(SurfaceParams(p, g, dD, e, ell, Structure.PRETANGO))
+                        yield SurfaceParams(p, g, dD, e, ell, Structure.PRETANGO)
                         if p * dD == 2 * g - 2:
-                            fams.append(SurfaceParams(p, g, dD, e, ell, Structure.TANGO))
-    return fams
+                            yield SurfaceParams(p, g, dD, e, ell, Structure.TANGO)
 
 
 def is_smooth(params: SurfaceParams) -> bool:

@@ -41,12 +41,10 @@ class LocalCohReport:
     nmax: int
     pieces: dict[tuple[int, int], Cert] = field(hash=False)
 
-    dim_r: int = DIM_R
-
     def to_json(self) -> dict:
         out = {
             "params": self.params.to_json(),
-            "dimR": self.dim_r,
+            "dimR": DIM_R,
             "nmin": self.nmin,
             "nmax": self.nmax,
             "pieces": {},

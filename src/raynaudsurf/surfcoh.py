@@ -32,15 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curvecoh import (
-    Cert,
-    CohCert,
-    TwistedSym,
-    cert_sum,
-    certify,
-    h0_cert,
-    line_bundle_h0_lower,
-)
+from .curvecoh import Cert, CohCert, TwistedSym, cert_sum, certify, line_bundle_h0_bounds
 from .numclass import ClassX, polarization_class
 from .params import SurfaceParams
 
@@ -51,12 +43,10 @@ __all__ = [
     "TheoremContradicted",
     "ThmEntry",
     "ThmReport",
-    "decompose",
     "decompose_twist",
     "reduce_term",
     "surface_cert",
     "h_surface",
-    "chi_X",
     "h1neg_closed_form",
     "result1_range",
     "h1_nonvanishing_window",
@@ -82,32 +72,23 @@ def _mstep(params: SurfaceParams, i: int) -> int:
 
 
 def decompose_twist(params: SurfaceParams, m: int, tw: int) -> tuple[PTerm, ...]:
-    """Terms of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw."""
+    """Terms of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw; Z^n is m = tw = n."""
     ell, p = params.ell, params.p
     return tuple(PTerm((m + i) // ell - _mstep(params, i), i * p + tw) for i in range(ell))
 
 
-def decompose(params: SurfaceParams, n: int) -> tuple[PTerm, ...]:
-    """Terms of psi_*(Z^n) with Z = O_X(Etilde) (x) phi^* Nl."""
-    return decompose_twist(params, n, n)
+def reduce_term(params: SurfaceParams, term: PTerm) -> tuple[TwistedSym | None, TwistedSym | None]:
+    """Curve-level sheaves (pi_* side, R^1 pi_* side) of term, None where zero.
 
-
-def reduce_term(params: SurfaceParams, term: PTerm, i: int) -> TwistedSym | None:
-    """Curve-level sheaf carrying H^i(P, term), or None when it vanishes.
-
-    For mtw >= 0 the answer lives in curve degree i (so i = 2 is zero);
-    for mtw <= -2 it lives in curve degree i-1 through R^1 pi_*; mtw = -1
-    kills both direct images.
+    H^i(P, term) is H^i of the pi_* side plus H^(i-1) of the R^1 pi_* side.
+    Only mtw >= 0 has a pi_* side and only mtw <= -2 an R^1 pi_* side;
+    mtw = -1 kills both direct images.
     """
-    if i not in (0, 1, 2):
-        raise ValueError(f"i must be 0, 1 or 2, got {i}")
     if term.mtw >= 0:
-        if i == 2:
-            return None
-        return TwistedSym(False, term.mtw, term.t)
-    if term.mtw == -1 or i == 0:
-        return None
-    return TwistedSym(True, -term.mtw - 2, term.t - params.ell)
+        return TwistedSym(False, term.mtw, term.t), None
+    if term.mtw == -1:
+        return None, None
+    return None, TwistedSym(True, -term.mtw - 2, term.t - params.ell)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,7 +140,7 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     """
     recs: list[TermReduction] = []
     for term in decompose_twist(params, a * n, b * n):
-        pi, r1pi = reduce_term(params, term, 0), reduce_term(params, term, 2)
+        pi, r1pi = reduce_term(params, term)
         push = None if pi is None else certify(params, pi)
         derived = None if r1pi is None else certify(params, r1pi)
         tchi = (push.chi if push else 0) - (derived.chi if derived else 0)
@@ -178,11 +159,6 @@ def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> 
     return surface_cert(params, n, a, b).h(i)
 
 
-def chi_X(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> int:
-    """Exact Euler characteristic of Z_{a,b}^n, term-wise over the decomposition."""
-    return surface_cert(params, n, a, b).chi
-
-
 def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
     """h^1(X, Z^n) for n < 0 as the direct sum over the R^1-side twists.
 
@@ -199,7 +175,7 @@ def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
         raise ValueError("closed form only covers n < 0")
     ell, p = params.ell, params.p
     parts = [
-        h0_cert(params, TwistedSym(True, _mstep(params, i) - (n + i) // ell - 2, i * p + n - ell))
+        certify(params, TwistedSym(True, _mstep(params, i) - (n + i) // ell - 2, i * p + n - ell)).h0
         for i in range(ell)
     ]
     return cert_sum(parts)
@@ -251,7 +227,7 @@ def zab_nonvanishing(params: SurfaceParams, a: int, b: int) -> Cert:
     if not 1 <= b <= params.ell - 1:
         raise ValueError(f"b must lie in 1..ell-1, got {b}")
     if a <= params.ell - b and (params.ell - b) * (params.p + 1) >= 2 * params.ell:
-        return Cert.at_least(line_bundle_h0_lower(params, 0))
+        return Cert.at_least(line_bundle_h0_bounds(params, 0)[0])
     return h_surface(params, 1, -1, a, b)
 
 

@@ -34,10 +34,10 @@ def ps4() -> SurfaceParams:
 @pytest.fixture(scope="session")
 def sweep_small() -> list[SurfaceParams]:
     """A quick family sweep for module-level property tests."""
-    return enumerate_families(5, 12, 8)
+    return list(enumerate_families(5, 12, 8))
 
 
 @pytest.fixture(scope="session")
 def sweep_acceptance() -> list[SurfaceParams]:
     """The full acceptance sweep."""
-    return enumerate_families(7, 20, 20)
+    return list(enumerate_families(7, 20, 20))

@@ -118,14 +118,20 @@ def test_table_rejects_bad_i(capsys):
     assert "--i" in err
 
 
-def test_table_respects_nmax_cap(capsys, monkeypatch):
-    monkeypatch.setenv("RAYNAUD_NMAX", "10")
-    code, _, err = run_cli(capsys, ["table", *PS1_FLAGS, "--i", "1", "--nmin", "-50", "--nmax", "-1"])
-    assert code == 2
-    assert "RAYNAUD_NMAX" in err
-    monkeypatch.setenv("RAYNAUD_NMAX", "50")
-    code, _, _ = run_cli(capsys, ["table", *PS1_FLAGS, "--i", "1", "--nmin", "-50", "--nmax", "-1"])
+def test_caps_and_bounds_reject_before_any_output(capsys):
+    code, _, _ = run_cli(capsys, ["table", *PS1_FLAGS, "--i", "1", "--nmin", "-100", "--nmax", "-99"])
     assert code == 0
+    code, out, err = run_cli(capsys, ["theorems", "--nmin", "-101"])
+    assert (code, out) == (2, "") and "capped at 100" in err
+    # families and theorems stream: the bounds must fail before the first tuple.
+    for argv in (
+        ["families", "--pmax", "0", "--gmax", "4", "--ddmax", "3"],
+        ["families", "--pmax", "0", "--gmax", "4", "--ddmax", "3", "--format", "csv"],
+        ["theorems", "--pmax", "0"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be positive" in err
 
 
 def test_default_cap_is_100(capsys):
@@ -281,25 +287,6 @@ def test_golden_stdout_md5(capsys):
 # ------------------------------------------------------------ bounded work
 
 
-def test_table_never_lists_the_filtration(capsys, monkeypatch):
-    # certify reads the filtration in closed form: with the listing
-    # functions disabled and the caches cold, every table still renders.
-    import raynaudsurf.curvecoh as curvecoh
-    import raynaudsurf.surfcoh as surfcoh
-
-    def listed(*_args):
-        raise AssertionError("the filtration was listed")
-
-    monkeypatch.setattr(curvecoh, "quotient_degrees", listed)
-    monkeypatch.setattr(curvecoh, "quotient_exponents", listed)
-    curvecoh.certify.cache_clear()
-    surfcoh.surface_cert.cache_clear()
-    for flags in REFERENCE_FLAGS.values():
-        code, out, err = run_cli(capsys, ["table", *flags, *WINDOW])
-        assert code == 0, err
-        assert len(json.loads(out)["rows"]) == 3 * 61
-
-
 def test_table_huge_polarization_exponent(capsys):
     # Z_{a,1} with a = 10**9 pushes forward to S^m(E) with m near a/ell.
     from raynaudsurf import canonical_X, intersect_X, polarization_class, surface_cert
@@ -313,3 +300,33 @@ def test_table_huge_polarization_exponent(capsys):
     z, kx = polarization_class(PS1, a, 1), canonical_X(PS1)
     rr = surface_cert(PS1, 0).chi + (intersect_X(PS1, z, z) - intersect_X(PS1, z, kx)) / 2
     assert chi_n1 == {rr}
+
+
+# ------------------------------------------------------------ public surface
+
+# One spelling per query: a second public name for an existing one (an
+# alias) has to be added here on purpose.
+PUBLIC_NAMES = [
+    "Cert", "ClassP", "ClassX", "CohCert", "ETILDE", "E_P", "FIBER_P", "FIBER_X",
+    "InvalidParams", "LocalCohReport", "PTerm", "RuleConflict", "Structure", "SurfCert",
+    "SurfaceParams", "TermReduction", "TheoremContradicted", "ThmEntry", "ThmReport",
+    "TwistedSym", "ZERO_CERT", "branch_curve_class", "canonical_P", "canonical_X",
+    "cert_sum", "certify", "check", "chi", "cusp_exponents", "decompose_twist", "degree",
+    "enumerate_families", "fiber_genus", "frac_str", "h1_nonvanishing_window",
+    "h1neg_closed_form", "h_surface", "intersect_P", "intersect_X", "is_ample_KX",
+    "is_ample_P", "is_normal", "is_prime", "is_smooth", "kodaira_vanishing_KX", "li_class",
+    "line_bundle_h0_bounds", "local_cohomology", "local_cohomology_report",
+    "nonzero_negative_degrees", "polarization_class", "pullback_psi", "rank", "reduce_term",
+    "result1_range", "selfint_Etilde", "surface_cert", "theorem_predicates", "validate",
+    "zab_nonvanishing",
+]
+
+
+def test_public_surface():
+    import raynaudsurf
+
+    assert len(PUBLIC_NAMES) == 60
+    assert sorted(raynaudsurf.__all__) == PUBLIC_NAMES
+    assert len(set(raynaudsurf.__all__)) == len(raynaudsurf.__all__)
+    for name in raynaudsurf.__all__:
+        assert hasattr(raynaudsurf, name), name

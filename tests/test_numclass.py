@@ -141,7 +141,7 @@ def test_is_ample_KX_examples():
 
 def test_is_ample_KX_matches_closed_form():
     # The classification sweep: p <= 13, g <= 40, dD <= 40.
-    fams = enumerate_families(13, 40, 40)
+    fams = list(enumerate_families(13, 40, 40))
     assert fams
     for f in fams:
         assert is_ample_KX(f) == ((f.p, f.ell) == (3, 4) or f.p >= 5), f

@@ -53,7 +53,6 @@ def test_nonzero_negative_degrees_match_window(sweep_small):
 
 def test_report_structure_and_json():
     report = local_cohomology_report(PS1, -3, 2)
-    assert report.dim_r == 3
     assert set(report.pieces) == {(j, n) for j in range(4) for n in range(-3, 3)}
     blob = report.to_json()
     assert blob["dimR"] == 3

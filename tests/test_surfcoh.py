@@ -13,8 +13,6 @@ from raynaudsurf import (
     TwistedSym,
     canonical_X,
     chi,
-    chi_X,
-    decompose,
     decompose_twist,
     h1_nonvanishing_window,
     h1neg_closed_form,
@@ -49,9 +47,9 @@ def _oracle_decompose(params, n):
 
 
 def test_decompose_examples():
-    assert list(decompose(PS1, -1)) == [PTerm(-1, -1), PTerm(-1, 1), PTerm(-2, 3)]
-    assert list(decompose(PS1, 0)) == [PTerm(0, 0), PTerm(-1, 2), PTerm(-2, 4)]
-    assert list(decompose(PS3, 1)) == [
+    assert list(decompose_twist(PS1, -1, -1)) == [PTerm(-1, -1), PTerm(-1, 1), PTerm(-2, 3)]
+    assert list(decompose_twist(PS1, 0, 0)) == [PTerm(0, 0), PTerm(-1, 2), PTerm(-2, 4)]
+    assert list(decompose_twist(PS3, 1, 1)) == [
         PTerm(0, 1),
         PTerm(-1, 4),
         PTerm(-2, 7),
@@ -68,12 +66,11 @@ def test_decompose_matches_oracle(sweep_small):
     cases.append((ELL24, range(-72, 73)))
     for f, ns in cases:
         for n in ns:
-            assert list(decompose(f, n)) == _oracle_decompose(f, n), (f, n)
-            assert len(decompose(f, n)) == f.ell
+            assert list(decompose_twist(f, n, n)) == _oracle_decompose(f, n), (f, n)
+            assert len(decompose_twist(f, n, n)) == f.ell
 
 
 def test_decompose_twist_generalizes():
-    assert decompose_twist(PS1, -1, -1) == decompose(PS1, -1)
     # Z_{2,1}^{-1} has the Etilde exponent doubled but the Nl twist kept:
     # on PS1 (p = 2, ell = 3) summand i is PTerm([(i-2)/3] - i, 2i - 1).
     terms = decompose_twist(PS1, -2, -1)
@@ -84,16 +81,11 @@ def test_decompose_twist_generalizes():
 
 
 def test_reduce_term_examples():
-    for i in (0, 1, 2):
-        assert reduce_term(PS1, PTerm(-1, 5), i) is None
-    assert reduce_term(PS1, PTerm(-2, 3), 1) == TwistedSym(True, 0, 0)
-    assert reduce_term(PS1, PTerm(2, 5), 2) is None
-    assert reduce_term(PS1, PTerm(2, 5), 0) == TwistedSym(False, 2, 5)
-    assert reduce_term(PS1, PTerm(2, 5), 1) == TwistedSym(False, 2, 5)
-    assert reduce_term(PS1, PTerm(-3, 1), 0) is None
-    assert reduce_term(PS1, PTerm(-3, 1), 2) == TwistedSym(True, 1, -2)
-    with pytest.raises(ValueError):
-        reduce_term(PS1, PTerm(0, 0), 3)
+    assert reduce_term(PS1, PTerm(-1, 5)) == (None, None)
+    assert reduce_term(PS1, PTerm(-2, 3)) == (None, TwistedSym(True, 0, 0))
+    assert reduce_term(PS1, PTerm(2, 5)) == (TwistedSym(False, 2, 5), None)
+    assert reduce_term(PS1, PTerm(0, 0)) == (TwistedSym(False, 0, 0), None)
+    assert reduce_term(PS1, PTerm(-3, 1)) == (None, TwistedSym(True, 1, -2))
 
 
 # --------------------------------------------------------------- surface certs
@@ -178,12 +170,11 @@ def test_chi_example_ps1():
     sc = surface_cert(PS1, -1)
     assert sc.chi == 3
     assert (sc.h0, sc.h1, sc.h2) == (Cert.exact(0), Cert.exact(1), Cert.exact(4))
-    assert chi_X(PS1, -1) == 3
 
 
 def test_term_records_carry_reductions():
     sc = surface_cert(PS1, -1)
-    assert [r.term for r in sc.terms] == list(decompose(PS1, -1))
+    assert [r.term for r in sc.terms] == list(decompose_twist(PS1, -1, -1))
     assert sc.terms[0].pushforward is None and sc.terms[0].derived is None
     last = sc.terms[2]
     assert last.derived is not None
