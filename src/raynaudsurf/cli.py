@@ -25,9 +25,7 @@ from .numclass import (
 )
 from .params import InvalidParams, Structure, SurfaceParams, enumerate_families, is_normal, is_smooth, validate
 from .sectionring import local_cohomology_report
-from .surfcoh import TheoremContradicted, surface_cert, theorem_predicates
-
-NMAX = 100
+from .surfcoh import NMAX, TheoremContradicted, surface_cert, theorem_predicates
 
 
 class SystemExit2(Exception):
@@ -198,6 +196,8 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
         raise SystemExit2("--pmax, --gmax, --ddmax must be positive")
     if abs(args.nmin) > NMAX:
         raise SystemExit2(f"|n| is capped at {NMAX}; requested nmin {args.nmin}")
+    if args.nmin >= 0:
+        raise SystemExit2(f"--nmin must be negative, got {args.nmin}")
     tuples = stronger = 0
     for f in enumerate_families(args.pmax, args.gmax, args.ddmax):
         tuples += 1

@@ -54,6 +54,11 @@ __all__ = [
     "theorem_predicates",
 ]
 
+# |n| cap on every CLI twist window.  One window, 2*NMAX + 1 = 201 twists,
+# is also surface_cert's cache size: no command reuses a twist from further
+# back (the argument is in surface_cert's docstring).
+NMAX = 100
+
 
 @dataclass(frozen=True, slots=True)
 class PTerm:
@@ -130,13 +135,22 @@ class SurfCert:
         raise ValueError(f"i must be 0, 1 or 2, got {i}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2 * NMAX + 1)
 def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfCert:
     """Aggregate certificates for H^*(X, Z_{a,b}^n); Z = Z_{1,1}.
 
     Direct sums add interval-wise: h^0 collects the pi_* sides, h^2 the
     R^1 pi_* sides, h^1 both, and chi is the signed sum of the per-term
     Euler characteristics.
+
+    The cache keeps the last 2*NMAX + 1 = 201 twists, one CLI window, and
+    no command asks for a twist again after more than 2*NMAX others:
+    `table` loops over i outside n and `section-ring` over j outside n, so
+    a twist recurs after the other 2*NMAX; `theorems` reuses an n only
+    inside one tuple's negative window [nmin, -1], and every twist it asks
+    for between two uses of such an n lies in that window, so at most
+    NMAX - 1 others; tuples never share a key.  So the bound drops no hit,
+    and a sweep's memory does not grow with the number of tuples.
     """
     recs: list[TermReduction] = []
     for term in decompose_twist(params, a * n, b * n):

@@ -123,6 +123,9 @@ def test_caps_and_bounds_reject_before_any_output(capsys):
     assert code == 0
     code, out, err = run_cli(capsys, ["theorems", "--nmin", "-101"])
     assert (code, out) == (2, "") and "capped at 100" in err
+    # A non-negative --nmin would silently drop every check below 0.
+    code, out, err = run_cli(capsys, ["theorems", "--pmax", "3", "--gmax", "6", "--ddmax", "4", "--nmin", "5"])
+    assert (code, out) == (2, "") and "--nmin must be negative" in err
     # families and theorems stream: the bounds must fail before the first tuple.
     for argv in (
         ["families", "--pmax", "0", "--gmax", "4", "--ddmax", "3"],

@@ -12,6 +12,7 @@ from raynaudsurf import (
     SurfaceParams,
     TwistedSym,
     canonical_X,
+    certify,
     chi,
     decompose_twist,
     h1_nonvanishing_window,
@@ -26,6 +27,8 @@ from raynaudsurf import (
     theorem_predicates,
     zab_nonvanishing,
 )
+from raynaudsurf.cli import main
+from raynaudsurf.surfcoh import NMAX
 
 from conftest import PS1, PS2, PS3, PS4
 
@@ -181,6 +184,31 @@ def test_term_records_carry_reductions():
     assert last.derived.sheaf == TwistedSym(True, 0, 0)
     assert last.chi == -chi(PS1, TwistedSym(True, 0, 0)) == 3
     assert sum(r.chi for r in sc.terms) == sc.chi
+
+
+def test_cache_bound_drops_no_hit_and_stays_bounded(sweep_acceptance, capsys):
+    # Each command's reuse must fit in surface_cert's 2*NMAX + 1 entries:
+    # the counts are those of an unbounded cache, and certify keeps nothing.
+    flags = ["-p", "2", "-g", "4", "--dD", "3", "-e", "3", "--ell", "3", "--tango"]
+    window = ["--nmin", str(-NMAX), "--nmax", str(NMAX)]
+    for argv, hits in ((["table", *flags, "--i", "0,1,2", *window], 402), (["section-ring", *flags, *window], 201)):
+        surface_cert.cache_clear()
+        assert main(argv) == 0
+        info = surface_cert.cache_info()
+        assert (info.misses, info.hits) == (2 * NMAX + 1, hits), argv
+    capsys.readouterr()
+
+    surface_cert.cache_clear()
+    distinct = asked = 0
+    for f in sweep_acceptance:
+        ns = [e.n for e in theorem_predicates(f, nneg_min=-NMAX).entries if e.n is not None]
+        distinct += len(set(ns))
+        asked += len(ns)
+    info = surface_cert.cache_info()
+    assert info.misses == distinct
+    assert info.hits + info.misses == asked
+    assert info.currsize <= 2 * NMAX + 1
+    assert certify.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------- closed forms
