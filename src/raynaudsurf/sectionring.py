@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .curvecoh import Cert, ZERO_CERT
 from .params import SurfaceParams
-from .surfcoh import h_surface
+from .surfcoh import surface_cert
 
 __all__ = ["LocalCohReport", "local_cohomology", "local_cohomology_report", "nonzero_negative_degrees"]
 
@@ -22,13 +22,17 @@ DIM_R = 3
 
 
 def local_cohomology(params: SurfaceParams, j: int, n: int) -> Cert:
-    """Certificate for the degree-n piece of H^j_m(R), j in 0..3."""
+    """Certificate for the degree-n piece of H^j_m(R), j in 0..3.
+
+    j = 2 and j = 3 read one cached surface_cert per n, so a window report
+    certifies each twist once.
+    """
     if j in (0, 1):
         return ZERO_CERT
     if j == 2:
-        return h_surface(params, 1, n)
+        return surface_cert(params, n).h1
     if j == 3:
-        return h_surface(params, 2, n)
+        return surface_cert(params, n).h2
     raise ValueError(f"j must lie in 0..{DIM_R}, got {j}")
 
 

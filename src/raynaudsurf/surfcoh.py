@@ -19,11 +19,11 @@ R^1 pi_* O_P(m) = S^(-m-2)(E)^v (x) O(-D) for m <= -2 (zero for m >= -1),
 so every H^i(X, Z^n) is a direct sum of curve-level certificates and every
 Euler characteristic is an exact alternating sum over the same terms.
 
-The engine (decompose_twist + reduce_term + certify, summed in
-surface_cert) is the only copy of the direct-image table and of the
-reduction rule.  The one closed form left, h1neg_closed_form, writes out
-the n < 0 sum for h^1 on its own; acceptance criterion 07 compares it with
-the engine.  The independent checks of the engine live in the tests:
+The engine (decompose_twist + reduce_term + certify, summed by the Leray
+rule LERAY in surface_cert, or for one degree in h_surface) is the only
+copy of the direct-image table and of the reduction rule.  The one closed
+form left, h1neg_closed_form, writes out the n < 0 sum for h^1 on its own;
+acceptance criterion 07 compares it with the engine.  The independent checks of the engine live in the tests:
 Riemann-Roch from numclass and Serre duality on the smooth (Tango) tuples.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curvecoh import Cert, CohCert, TwistedSym, cert_sum, certify, line_bundle_h0_bounds
+from .curvecoh import ZERO_CERT, Cert, CohCert, TwistedSym, cert_sum, certify, line_bundle_h0_bounds
 from .numclass import ClassX, polarization_class
 from .params import SurfaceParams
 
@@ -55,9 +55,27 @@ __all__ = [
 ]
 
 # |n| cap on every CLI twist window.  One window, 2*NMAX + 1 = 201 twists,
-# is also surface_cert's cache size: no command reuses a twist from further
-# back (the argument is in surface_cert's docstring).
+# is also surface_cert's cache size: neither `table` nor `section-ring`
+# reuses a twist from further back (the argument is in surface_cert's
+# docstring).
 NMAX = 100
+
+
+# Leray for pi: P -> C, whose fibres are curves:
+#   H^i(P, F) = H^i(C, pi_* F) (+) H^(i-1)(C, R^1 pi_* F).
+# LERAY[i] lists the (side, curve degree) pairs that feed H^i, side 0 being
+# a term's pi_* side and side 1 its R^1 pi_* side: h^0 reads only pi_*
+# sides, h^2 only R^1 pi_* sides, h^1 both.
+LERAY = (((0, 0),), ((0, 1), (1, 0)), ((1, 1),))
+
+
+def _curve_h(cert: CohCert, j: int) -> Cert:
+    return cert.h1 if j else cert.h0
+
+
+def _check_degree(i: int) -> None:
+    if i not in (0, 1, 2):
+        raise ValueError(f"i must be 0, 1 or 2, got {i}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,9 +103,9 @@ def decompose_twist(params: SurfaceParams, m: int, tw: int) -> tuple[PTerm, ...]
 def reduce_term(params: SurfaceParams, term: PTerm) -> tuple[TwistedSym | None, TwistedSym | None]:
     """Curve-level sheaves (pi_* side, R^1 pi_* side) of term, None where zero.
 
-    H^i(P, term) is H^i of the pi_* side plus H^(i-1) of the R^1 pi_* side.
-    Only mtw >= 0 has a pi_* side and only mtw <= -2 an R^1 pi_* side;
-    mtw = -1 kills both direct images.
+    LERAY says which side feeds which H^i(P, term).  Only mtw >= 0 has a
+    pi_* side and only mtw <= -2 an R^1 pi_* side; mtw = -1 kills both
+    direct images.
     """
     if term.mtw >= 0:
         return TwistedSym(False, term.mtw, term.t), None
@@ -126,31 +144,24 @@ class SurfCert:
     terms: tuple[TermReduction, ...]
 
     def h(self, i: int) -> Cert:
-        if i == 0:
-            return self.h0
-        if i == 1:
-            return self.h1
-        if i == 2:
-            return self.h2
-        raise ValueError(f"i must be 0, 1 or 2, got {i}")
+        _check_degree(i)
+        return (self.h0, self.h1, self.h2)[i]
 
 
 @lru_cache(maxsize=2 * NMAX + 1)
 def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfCert:
-    """Aggregate certificates for H^*(X, Z_{a,b}^n); Z = Z_{1,1}.
+    """All certificates for H^*(X, Z_{a,b}^n), with every term; Z = Z_{1,1}.
 
-    Direct sums add interval-wise: h^0 collects the pi_* sides, h^2 the
-    R^1 pi_* sides, h^1 both, and chi is the signed sum of the per-term
-    Euler characteristics.
+    Every side of every term is certified.  Direct sums add interval-wise,
+    each h^i over the sides LERAY feeds into it, and chi is the signed sum
+    of the per-term Euler characteristics.  A query for one degree should
+    use h_surface, which certifies only the sides that degree reads.
 
-    The cache keeps the last 2*NMAX + 1 = 201 twists, one CLI window, and
-    no command asks for a twist again after more than 2*NMAX others:
-    `table` loops over i outside n and `section-ring` over j outside n, so
-    a twist recurs after the other 2*NMAX; `theorems` reuses an n only
-    inside one tuple's negative window [nmin, -1], and every twist it asks
-    for between two uses of such an n lies in that window, so at most
-    NMAX - 1 others; tuples never share a key.  So the bound drops no hit,
-    and a sweep's memory does not grow with the number of tuples.
+    The cache serves the window commands, `table` and `section-ring`.  It
+    keeps the last 2*NMAX + 1 = 201 twists, one CLI window, and neither
+    command asks for a twist again after more than 2*NMAX others: `table`
+    loops over i outside n and `section-ring` over j outside n, so a twist
+    recurs after the other 2*NMAX.  So the bound drops no hit.
     """
     recs: list[TermReduction] = []
     for term in decompose_twist(params, a * n, b * n):
@@ -159,18 +170,31 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
         derived = None if r1pi is None else certify(params, r1pi)
         tchi = (push.chi if push else 0) - (derived.chi if derived else 0)
         recs.append(TermReduction(term, push, derived, tchi))
-    h0 = cert_sum(r.pushforward.h0 for r in recs if r.pushforward)
-    h1 = cert_sum(
-        [r.pushforward.h1 for r in recs if r.pushforward]
-        + [r.derived.h0 for r in recs if r.derived]
+    certs = [(r.pushforward, r.derived) for r in recs]
+    h0, h1, h2 = (
+        cert_sum(_curve_h(sides[k], j) for sides in certs for k, j in LERAY[i] if sides[k] is not None)
+        for i in range(3)
     )
-    h2 = cert_sum(r.derived.h1 for r in recs if r.derived)
     return SurfCert(h0, h1, h2, sum(r.chi for r in recs), tuple(recs))
 
 
 def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> Cert:
-    """Certificate for h^i(X, Z_{a,b}^n)."""
-    return surface_cert(params, n, a, b).h(i)
+    """Certificate for h^i(X, Z_{a,b}^n), computing degree i alone.
+
+    By Leray (LERAY), h^i(X, Z_{a,b}^n) is the interval sum over the terms
+    of decompose_twist(a*n, b*n) of h^i(C, pi_* side) for i <= 1 and
+    h^(i-1)(C, R^1 pi_* side) for i >= 1.  Only those sides are certified,
+    so h^0 at n < 0 and h^2 once every mtw >= -1 certify nothing.  Nothing
+    is cached; the result equals surface_cert(params, n, a, b).h(i).
+    """
+    _check_degree(i)
+    total = ZERO_CERT
+    for term in decompose_twist(params, a * n, b * n):
+        sides = reduce_term(params, term)
+        for k, j in LERAY[i]:
+            if sides[k] is not None:
+                total = total + _curve_h(certify(params, sides[k]), j)
+    return total
 
 
 def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:

@@ -248,6 +248,7 @@ def golden_commands() -> dict[str, list[str]]:
     cmds["validate PS4"] = ["validate", *PS4_FLAGS]
     cmds["validate invalid"] = ["validate", "-p", "4", "-g", "4", "--dD", "2", "-e", "2", "--ell", "3", "--pretango"]
     cmds["families csv"] = ["families", "--pmax", "7", "--gmax", "20", "--ddmax", "20", "--format", "csv"]
+    cmds["theorems 2083"] = ["theorems", "--pmax", "13", "--gmax", "40", "--ddmax", "40"]
     return cmds
 
 
@@ -279,6 +280,7 @@ GOLDEN_MD5 = {
     "validate PS4": "236363f13fad6bc1ca041122a8521841",
     "validate invalid": "4e2ecb2d8ec2b9c845743088320211a5",
     "families csv": "b1a220d2db39f591de2288e976bf699b",
+    "theorems 2083": "903bca58c0f67eee979b25dc066b697a",
 }
 
 

@@ -187,8 +187,10 @@ def test_term_records_carry_reductions():
 
 
 def test_cache_bound_drops_no_hit_and_stays_bounded(sweep_acceptance, capsys):
-    # Each command's reuse must fit in surface_cert's 2*NMAX + 1 entries:
-    # the counts are those of an unbounded cache, and certify keeps nothing.
+    # Each window command's reuse must fit in surface_cert's 2*NMAX + 1
+    # entries: the counts are those of an unbounded cache.  theorem_predicates
+    # reads degree-only h_surface, so a sweep never reaches the cache, and
+    # certify keeps nothing.
     flags = ["-p", "2", "-g", "4", "--dD", "3", "-e", "3", "--ell", "3", "--tango"]
     window = ["--nmin", str(-NMAX), "--nmax", str(NMAX)]
     for argv, hits in ((["table", *flags, "--i", "0,1,2", *window], 402), (["section-ring", *flags, *window], 201)):
@@ -199,16 +201,46 @@ def test_cache_bound_drops_no_hit_and_stays_bounded(sweep_acceptance, capsys):
     capsys.readouterr()
 
     surface_cert.cache_clear()
-    distinct = asked = 0
     for f in sweep_acceptance:
-        ns = [e.n for e in theorem_predicates(f, nneg_min=-NMAX).entries if e.n is not None]
-        distinct += len(set(ns))
-        asked += len(ns)
+        theorem_predicates(f, nneg_min=-NMAX)
     info = surface_cert.cache_info()
-    assert info.misses == distinct
-    assert info.hits + info.misses == asked
-    assert info.currsize <= 2 * NMAX + 1
+    assert (info.misses, info.hits) == (0, 0)
     assert certify.cache_info().currsize == 0
+
+
+def test_h_surface_equals_full_certificate(sweep_acceptance):
+    # The degree-only query certifies a subset of the sides surface_cert
+    # certifies and must sum them to the same interval.
+    cells = 0
+    for f in sweep_acceptance:
+        keys = [(n, 1, 1) for n in range(-30, f.p * (f.p + 1) + 3 * f.ell + 1)]
+        keys += [(-1, a, b) for a in range(1, 4) for b in range(1, f.ell)]
+        for n, a, b in keys:
+            sc = surface_cert(f, n, a, b)
+            for i in range(3):
+                assert h_surface(f, i, n, a, b) == sc.h(i), (f, i, n, a, b)
+                cells += 1
+    assert cells == 64392
+
+
+def test_h0_and_h2_checks_certify_nothing(sweep_acceptance):
+    # For n < 0 every term has mtw < 0, so no pi_* side; from n = p(p+1) on
+    # every term has mtw >= -1, so no R^1 pi_* side.  h0_zero_negative and
+    # h2_vanishes_high therefore read no curve certificate, and the certify
+    # calls of theorem_predicates are those of its h^1 entries: one per
+    # present side of each of their terms (h^1 reads both sides).
+    for f in sweep_acceptance:
+        before = certify.cache_info().misses
+        report = theorem_predicates(f)
+        made = certify.cache_info().misses - before
+        h1_sides = sum(
+            side is not None
+            for e in report.entries
+            if e.theorem.startswith("h1_")
+            for term in decompose_twist(f, e.n, e.n)
+            for side in reduce_term(f, term)
+        )
+        assert made == h1_sides, f
 
 
 # ---------------------------------------------------------------- closed forms
