@@ -23,9 +23,8 @@ producing an empty interval is an implementation bug and raises RuleConflict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .params import SurfaceParams
 
@@ -48,8 +47,14 @@ class RuleConflict(RuntimeError):
     """Two certificate rules produced an empty interval: an internal bug."""
 
 
-@dataclass(frozen=True, slots=True)
-class Cert:
+# The fields alone: a NamedTuple class may not define __new__, so the
+# subclass below checks or coerces its input there.
+class _CertFields(NamedTuple):
+    lo: int
+    hi: int | None
+
+
+class Cert(_CertFields):
     """A certified interval for a cohomology dimension.
 
     lo is always a proven lower bound; hi, when present, a proven upper
@@ -57,17 +62,17 @@ class Cert:
     (only allowed with lo >= 1), otherwise Range with lo < hi.
     """
 
-    lo: int
-    hi: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo < 0:
-            raise ValueError(f"negative lower bound {self.lo}")
-        if self.hi is None:
-            if self.lo < 1:
+    def __new__(cls, lo: int, hi: int | None):
+        if lo < 0:
+            raise ValueError(f"negative lower bound {lo}")
+        if hi is None:
+            if lo < 1:
                 raise ValueError("a pure lower-bound certificate needs lo >= 1")
-        elif self.hi < self.lo:
-            raise RuleConflict(f"empty certificate interval [{self.lo}, {self.hi}]")
+        elif hi < lo:
+            raise RuleConflict(f"empty certificate interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @classmethod
     def exact(cls, k: int) -> "Cert":
@@ -121,8 +126,7 @@ def cert_sum(certs: Iterable[Cert]) -> Cert:
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class TwistedSym:
+class TwistedSym(NamedTuple):
     """S^m(E) (x) Nl^t, or its dual sym power when dualized; m < 0 is the zero sheaf."""
 
     dualized: bool
@@ -176,8 +180,7 @@ def line_bundle_h0_bounds(params: SurfaceParams, t: int) -> tuple[int, int]:
     return lo, deg + 1
 
 
-@dataclass(frozen=True, slots=True)
-class CohCert:
+class CohCert(NamedTuple):
     """h^0 and h^1 certificates for one sheaf, paired with its exact chi."""
 
     sheaf: TwistedSym

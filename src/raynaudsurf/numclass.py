@@ -10,8 +10,8 @@ exact rationals; by construction every denominator divides ell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .params import SurfaceParams
 
@@ -48,16 +48,20 @@ def frac_str(x: RatLike) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
-class ClassP:
-    """a*E + b*f up to numerical equivalence on the ruled surface."""
-
+# The fields alone: a NamedTuple class may not define __new__, so the
+# subclass below checks or coerces its input there.
+class _ClassPFields(NamedTuple):
     cE: Fraction
     cf: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "cE", Fraction(self.cE))
-        object.__setattr__(self, "cf", Fraction(self.cf))
+
+class ClassP(_ClassPFields):
+    """a*E + b*f up to numerical equivalence on the ruled surface."""
+
+    __slots__ = ()
+
+    def __new__(cls, cE: RatLike, cf: RatLike):
+        return tuple.__new__(cls, (Fraction(cE), Fraction(cf)))
 
     def __add__(self, other: "ClassP") -> "ClassP":
         return ClassP(self.cE + other.cE, self.cf + other.cf)
@@ -75,16 +79,18 @@ class ClassP:
         return {"cE": frac_str(self.cE), "cf": frac_str(self.cf)}
 
 
-@dataclass(frozen=True)
-class ClassX:
-    """a*Etilde + (pullback of a degree-d class from the base curve)."""
-
+class _ClassXFields(NamedTuple):
     cEt: Fraction
     d: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "cEt", Fraction(self.cEt))
-        object.__setattr__(self, "d", Fraction(self.d))
+
+class ClassX(_ClassXFields):
+    """a*Etilde + (pullback of a degree-d class from the base curve)."""
+
+    __slots__ = ()
+
+    def __new__(cls, cEt: RatLike, d: RatLike):
+        return tuple.__new__(cls, (Fraction(cEt), Fraction(d)))
 
     def __add__(self, other: "ClassX") -> "ClassX":
         return ClassX(self.cEt + other.cEt, self.d + other.d)

@@ -12,10 +12,9 @@ only the numeric constraints are enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "Structure",
@@ -114,15 +113,9 @@ def check(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> list[
     return bad
 
 
-@dataclass(frozen=True)
-class SurfaceParams:
-    """Validated tuple (p, g, dD, e, ell, structure).
-
-    Construction is the one place a tuple is checked: it raises
-    InvalidParams with every violated constraint, and it coerces a
-    structure given as a string to Structure.
-    """
-
+# The fields alone: a NamedTuple class may not define __new__, so the
+# subclass below checks or coerces its input there.
+class _SurfaceParamsFields(NamedTuple):
     p: int
     g: int
     dD: int
@@ -130,11 +123,22 @@ class SurfaceParams:
     ell: int
     structure: Structure
 
-    def __post_init__(self):
-        bad = check(self.p, self.g, self.dD, self.e, self.ell, self.structure)
+
+class SurfaceParams(_SurfaceParamsFields):
+    """Validated tuple (p, g, dD, e, ell, structure).
+
+    Construction is the one place a tuple is checked: it raises
+    InvalidParams with every violated constraint, and it coerces a
+    structure given as a string to Structure.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, g: int, dD: int, e: int, ell: int, structure: object):
+        bad = check(p, g, dD, e, ell, structure)
         if bad:
             raise InvalidParams(bad)
-        object.__setattr__(self, "structure", _coerce_structure(self.structure))
+        return tuple.__new__(cls, (p, g, dD, e, ell, _coerce_structure(structure)))
 
     @property
     def dN(self) -> int:

@@ -10,7 +10,7 @@ pieces are exactly the surface certificates computed in surfcoh, reindexed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .curvecoh import Cert, ZERO_CERT
 from .params import SurfaceParams
@@ -36,14 +36,17 @@ def local_cohomology(params: SurfaceParams, j: int, n: int) -> Cert:
     raise ValueError(f"j must lie in 0..{DIM_R}, got {j}")
 
 
-@dataclass(frozen=True)
-class LocalCohReport:
-    """Graded pieces of H^j_m(R) over a degree window."""
+class LocalCohReport(NamedTuple):
+    """Graded pieces of H^j_m(R) over a degree window.
+
+    Unhashable: hashing a tuple hashes its fields, and pieces is a dict.
+    No caller hashes a report.
+    """
 
     params: SurfaceParams
     nmin: int
     nmax: int
-    pieces: dict[tuple[int, int], Cert] = field(hash=False)
+    pieces: dict[tuple[int, int], Cert]
 
     def to_json(self) -> dict:
         out = {

@@ -29,8 +29,8 @@ Riemann-Roch from numclass and Serre duality on the smooth (Tango) tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .curvecoh import ZERO_CERT, Cert, CohCert, TwistedSym, cert_sum, certify, line_bundle_h0_bounds
 from .numclass import ClassX, polarization_class
@@ -78,8 +78,7 @@ def _check_degree(i: int) -> None:
         raise ValueError(f"i must be 0, 1 or 2, got {i}")
 
 
-@dataclass(frozen=True, slots=True)
-class PTerm:
+class PTerm(NamedTuple):
     """O_P(mtw) (x) pi^* Nl^t; mtw is integral because ell | i(p+1)."""
 
     mtw: int
@@ -114,8 +113,7 @@ def reduce_term(params: SurfaceParams, term: PTerm) -> tuple[TwistedSym | None, 
     return None, TwistedSym(True, -term.mtw - 2, term.t - params.ell)
 
 
-@dataclass(frozen=True, slots=True)
-class TermReduction:
+class TermReduction(NamedTuple):
     """One pushforward term with its curve certificates and chi contribution."""
 
     term: PTerm
@@ -133,8 +131,7 @@ class TermReduction:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SurfCert:
+class SurfCert(NamedTuple):
     """Certificates for h^0, h^1, h^2 of one power of the polarization."""
 
     h0: Cert
@@ -273,8 +270,7 @@ class TheoremContradicted(RuntimeError):
     """The engine certified the opposite of a closed-form claim."""
 
 
-@dataclass(frozen=True)
-class ThmEntry:
+class ThmEntry(NamedTuple):
     theorem: str
     n: int | None
     claim: str  # "vanishing" | "nonvanishing" | "identity"
@@ -291,8 +287,7 @@ class ThmEntry:
         }
 
 
-@dataclass(frozen=True)
-class ThmReport:
+class ThmReport(NamedTuple):
     params: SurfaceParams
     entries: tuple[ThmEntry, ...]
 

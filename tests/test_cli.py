@@ -217,18 +217,27 @@ def test_missing_subcommand_exits_2():
     assert err.value.code == 2
 
 
-def test_module_entry_point():
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from this checkout's src/."""
     repo = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "raynaudsurf", "invariants", *PS3_FLAGS],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point():
+    proc = run_python("-m", "raynaudsurf", "invariants", *PS3_FLAGS)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fiber_genus"] == 3
+
+
+def test_cold_import_skips_dataclasses_and_inspect():
+    # Every CLI call is a cold start.  The records are NamedTuples, so the
+    # import needs neither dataclasses nor the inspect it pulls in.  -S keeps
+    # site-packages hooks from adding imports that are not the package's.
+    proc = run_python("-S", "-c", "import sys, raynaudsurf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ------------------------------------------------------------- golden stdout
@@ -335,3 +344,68 @@ def test_public_surface():
     assert len(set(raynaudsurf.__all__)) == len(raynaudsurf.__all__)
     for name in raynaudsurf.__all__:
         assert hasattr(raynaudsurf, name), name
+
+
+# ------------------------------------------------------------------- records
+
+
+def _record_factories() -> dict:
+    """Record type name -> a factory building one instance from fresh fields."""
+    from fractions import Fraction
+
+    from raynaudsurf import (
+        Cert, ClassP, ClassX, CohCert, LocalCohReport, PTerm, SurfaceParams, SurfCert,
+        TermReduction, ThmEntry, ThmReport, TwistedSym,
+    )
+
+    def params():
+        return SurfaceParams(2, 4, 3, 3, 3, "tango")
+
+    def coh():
+        return CohCert(TwistedSym(False, 0, 0), -3, Cert(1, 1), Cert(4, 4))
+
+    def term():
+        return TermReduction(PTerm(0, 0), coh(), None, -3)
+
+    def entry():
+        return ThmEntry("h2_vanishes_high", 6, "vanishing", Cert(0, 0), "confirmed")
+
+    return {
+        "SurfaceParams": params,
+        "ClassP": lambda: ClassP(1, Fraction(-1, 2)),
+        "ClassX": lambda: ClassX(Fraction(2, 4), 3),
+        "Cert": lambda: Cert(1, None),
+        "TwistedSym": lambda: TwistedSym(True, 2, -1),
+        "CohCert": coh,
+        "PTerm": lambda: PTerm(-2, 4),
+        "TermReduction": term,
+        "SurfCert": lambda: SurfCert(Cert(1, 1), Cert(4, 4), Cert(0, 0), -3, (term(),)),
+        "ThmEntry": entry,
+        "ThmReport": lambda: ThmReport(params(), (entry(),)),
+        "LocalCohReport": lambda: LocalCohReport(params(), -1, -1, {(2, -1): Cert(1, None)}),
+    }
+
+
+def test_every_public_record_is_covered():
+    import raynaudsurf
+
+    public = {name: getattr(raynaudsurf, name) for name in raynaudsurf.__all__}
+    records = {name for name, obj in public.items() if isinstance(obj, type) and hasattr(obj, "_fields")}
+    assert records == set(_record_factories())
+
+
+@pytest.mark.parametrize("name", sorted(_record_factories()))
+def test_record_is_an_immutable_value(name):
+    make = _record_factories()[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a is not b and a == b
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    if name == "LocalCohReport":
+        # Its pieces field is a dict, so the tuple hash fails; no caller hashes a report.
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)

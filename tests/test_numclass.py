@@ -185,3 +185,9 @@ def test_fraction_formatting():
     assert frac_str(3) == "3/1"
     assert ClassP(Fraction(1, 2), -2).to_json() == {"cE": "1/2", "cf": "-2/1"}
     assert ClassX(0, Fraction(2, 4)).to_json() == {"cEt": "0/1", "d": "1/2"}
+
+
+def test_class_coefficients_are_fractions():
+    p, x = ClassP(1, -2), ClassX(Fraction(6, 4), 0)
+    assert [type(c) for c in (p.cE, p.cf, x.cEt, x.d)] == [Fraction] * 4
+    assert (p.cE, x.cEt) == (Fraction(1), Fraction(3, 2))
