@@ -63,6 +63,11 @@ class ClassP(_ClassPFields):
     def __new__(cls, cE: RatLike, cf: RatLike):
         return tuple.__new__(cls, (Fraction(cE), Fraction(cf)))
 
+    @classmethod
+    def _make(cls, iterable) -> "ClassP":
+        # tuple._make, and so _replace, would bypass __new__.
+        return cls(*iterable)
+
     def __add__(self, other: "ClassP") -> "ClassP":
         return ClassP(self.cE + other.cE, self.cf + other.cf)
 
@@ -74,6 +79,8 @@ class ClassP(_ClassPFields):
 
     def __rmul__(self, k: RatLike) -> "ClassP":
         return ClassP(k * self.cE, k * self.cf)
+
+    __mul__ = __rmul__
 
     def to_json(self) -> dict:
         return {"cE": frac_str(self.cE), "cf": frac_str(self.cf)}
@@ -92,6 +99,11 @@ class ClassX(_ClassXFields):
     def __new__(cls, cEt: RatLike, d: RatLike):
         return tuple.__new__(cls, (Fraction(cEt), Fraction(d)))
 
+    @classmethod
+    def _make(cls, iterable) -> "ClassX":
+        # tuple._make, and so _replace, would bypass __new__.
+        return cls(*iterable)
+
     def __add__(self, other: "ClassX") -> "ClassX":
         return ClassX(self.cEt + other.cEt, self.d + other.d)
 
@@ -103,6 +115,8 @@ class ClassX(_ClassXFields):
 
     def __rmul__(self, k: RatLike) -> "ClassX":
         return ClassX(k * self.cEt, k * self.d)
+
+    __mul__ = __rmul__
 
     def to_json(self) -> dict:
         return {"cEt": frac_str(self.cEt), "d": frac_str(self.d)}

@@ -140,6 +140,11 @@ class SurfaceParams(_SurfaceParamsFields):
             raise InvalidParams(bad)
         return tuple.__new__(cls, (p, g, dD, e, ell, _coerce_structure(structure)))
 
+    @classmethod
+    def _make(cls, iterable) -> "SurfaceParams":
+        # tuple._make, and so _replace, would bypass __new__.
+        return cls(*iterable)
+
     @property
     def dN(self) -> int:
         """deg N, with O(D) = N^e."""

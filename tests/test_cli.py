@@ -257,7 +257,10 @@ def golden_commands() -> dict[str, list[str]]:
     cmds["validate PS4"] = ["validate", *PS4_FLAGS]
     cmds["validate invalid"] = ["validate", "-p", "4", "-g", "4", "--dD", "2", "-e", "2", "--ell", "3", "--pretango"]
     cmds["families csv"] = ["families", "--pmax", "7", "--gmax", "20", "--ddmax", "20", "--format", "csv"]
-    cmds["theorems 2083"] = ["theorems", "--pmax", "13", "--gmax", "40", "--ddmax", "40"]
+    sweep2083 = ["theorems", "--pmax", "13", "--gmax", "40", "--ddmax", "40"]
+    cmds["theorems 2083"] = sweep2083
+    cmds["theorems 2083 pretty"] = [*sweep2083, "--format", "pretty"]
+    cmds["theorems 2083 nmin -100"] = [*sweep2083, "--nmin", "-100"]
     return cmds
 
 
@@ -290,6 +293,8 @@ GOLDEN_MD5 = {
     "validate invalid": "4e2ecb2d8ec2b9c845743088320211a5",
     "families csv": "b1a220d2db39f591de2288e976bf699b",
     "theorems 2083": "903bca58c0f67eee979b25dc066b697a",
+    "theorems 2083 pretty": "92f8edcec0a6de21d137b2a7f901faea",
+    "theorems 2083 nmin -100": "f6976a0a01df851fc9f6557284b7c32b",
 }
 
 
@@ -409,3 +414,23 @@ def test_record_is_an_immutable_value(name):
             hash(a)
     else:
         assert hash(a) == hash(b)
+
+
+def test_make_and_replace_check_like_the_constructor():
+    from fractions import Fraction
+
+    from raynaudsurf import Cert, ClassP, ClassX, InvalidParams, RuleConflict, SurfaceParams
+
+    with pytest.raises(ValueError):
+        Cert(0, 0)._replace(lo=-1)
+    with pytest.raises(RuleConflict):
+        Cert._make([3, 1])
+    with pytest.raises(InvalidParams):
+        SurfaceParams._make([4, 2, 1, 1, 1, "x"])
+    ps1 = SurfaceParams._make([2, 4, 3, 3, 3, "tango"])
+    assert ps1 == SurfaceParams(2, 4, 3, 3, 3, "tango")
+    with pytest.raises(InvalidParams):
+        ps1._replace(p=4)
+    assert Cert(1, 1)._replace(hi=None) == Cert.at_least(1)
+    assert type(ClassP._make([1, "1/2"]).cf) is Fraction
+    assert type(ClassX(0, 0)._replace(d=3).d) is Fraction

@@ -191,3 +191,10 @@ def test_class_coefficients_are_fractions():
     p, x = ClassP(1, -2), ClassX(Fraction(6, 4), 0)
     assert [type(c) for c in (p.cE, p.cf, x.cEt, x.d)] == [Fraction] * 4
     assert (p.cE, x.cEt) == (Fraction(1), Fraction(3, 2))
+
+
+def test_scalar_multiplication_from_either_side():
+    # tuple.__mul__ would repeat the fields; both sides scale the class.
+    assert ClassP(1, 0) * 2 == 2 * ClassP(1, 0) == ClassP(2, 0)
+    assert ClassX(1, 3) * Fraction(1, 2) == Fraction(1, 2) * ClassX(1, 3) == ClassX(Fraction(1, 2), Fraction(3, 2))
+    assert len(ETILDE * 3) == 2

@@ -224,11 +224,10 @@ def test_h_surface_equals_full_certificate(sweep_acceptance):
 
 
 def test_h0_and_h2_checks_certify_nothing(sweep_acceptance):
-    # For n < 0 every term has mtw < 0, so no pi_* side; from n = p(p+1) on
-    # every term has mtw >= -1, so no R^1 pi_* side.  h0_zero_negative and
-    # h2_vanishes_high therefore read no curve certificate, and the certify
-    # calls of theorem_predicates are those of its h^1 entries: one per
-    # present side of each of their terms (h^1 reads both sides).
+    # h0_zero_negative, h2_vanishes_high and h1_zero_below_window come from
+    # proofs and read no curve certificate.  So the certify calls of
+    # theorem_predicates are those of its h1_nonzero_near_zero entries: one
+    # per present side of each of their terms (h^1 reads both sides).
     for f in sweep_acceptance:
         before = certify.cache_info().misses
         report = theorem_predicates(f)
@@ -236,11 +235,62 @@ def test_h0_and_h2_checks_certify_nothing(sweep_acceptance):
         h1_sides = sum(
             side is not None
             for e in report.entries
-            if e.theorem.startswith("h1_")
+            if e.theorem == "h1_nonzero_near_zero"
             for term in decompose_twist(f, e.n, e.n)
             for side in reduce_term(f, term)
         )
         assert made == h1_sides, f
+
+
+def _h1_zero_below(f):
+    """Least n < 0 where certify may leave h^1(X, Z^n) != 0, or 0 if none.
+
+    For n < 0, h^1 sums h^0 of the R^1 pi_* sides S^k(E)^v (x) Nl^t' of the
+    summands i, with k = i(p+1)/ell - [(n+i)/ell] - 2 and t' = i*p + n - ell.
+    certify gives such a side Exact(0) exactly when k < 0 (R0), k = 0 and
+    t' < 0 (R1) or k >= 1 and t' < ell (R2).  On n = r + ell*q, k = Q - q
+    with Q = i(p+1)/ell - [(r+i)/ell] - 2, and t' >= ell iff q >= c =
+    ceil((2*ell - i*p - r)/ell).  So summand i is not certified zero for q
+    in [c, Q] when c < Q, at q = Q when t'(Q) >= 0, and nowhere else.
+    """
+    p, ell = f.p, f.ell
+    least = 0
+    for i in range(ell):
+        for r in range(ell):
+            top = i * (p + 1) // ell - (r + i) // ell - 2
+            low = -((i * p + r - 2 * ell) // ell)
+            if low < top:
+                least = min(least, r + ell * low)
+            elif i * p + r - ell + ell * top >= 0:
+                least = min(least, r + ell * top)
+    return least
+
+
+def _assert_h1_zero_below_is_exact(f):
+    # Below the bound the engine certifies h^1 = 0; at it, when it is
+    # negative, the engine does not.
+    proven = _h1_zero_below(f)
+    assert proven <= 0
+    for n in range(-NMAX, proven):
+        assert h_surface(f, 1, n) == Cert.exact(0), (f, n)
+    if proven < 0:
+        assert h_surface(f, 1, proven) != Cert.exact(0), f
+
+
+def test_h1_zero_below_agrees_with_engine(sweep_acceptance):
+    assert {f.p for f in sweep_acceptance} == {2, 3, 5, 7}
+    for f in sweep_acceptance:
+        _assert_h1_zero_below_is_exact(f)
+
+
+def test_h1_zero_below_on_ell24():
+    _assert_h1_zero_below_is_exact(ELL24)
+
+
+def test_h0_vanishes_for_negative_n(sweep_acceptance):
+    for f in sweep_acceptance:
+        for n in range(-NMAX, 0):
+            assert h_surface(f, 0, n) == Cert.exact(0), (f, n)
 
 
 # ---------------------------------------------------------------- closed forms
@@ -280,11 +330,14 @@ def test_engine_certifies_nonvanishing_window(sweep_small):
             assert h_surface(f, 1, n).certainly_nonzero, (f, n)
 
 
-def test_small_p_vanishing_below_window(sweep_small):
-    for f in sweep_small:
-        if f.p in (2, 3):
-            for n in range(-40, h1_nonvanishing_window(f)):
-                assert h_surface(f, 1, n) == Cert.exact(0), (f, n)
+def test_small_p_vanishing_below_window(sweep_acceptance):
+    # theorem_predicates proves h1_zero_below_window for the three (p, ell)
+    # pairs with p = 2, 3.  On each, the engine-checked bound of
+    # test_h1_zero_below_agrees_with_engine is the window itself.
+    small = [f for f in sweep_acceptance if f.p in (2, 3)]
+    assert {(f.p, f.ell) for f in small} == {(2, 3), (3, 2), (3, 4)}
+    for f in small:
+        assert _h1_zero_below(f) == h1_nonvanishing_window(f), f
 
 
 # -------------------------------------------------------------- twisted family
