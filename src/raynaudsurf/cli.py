@@ -208,7 +208,7 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
         else:
             print(
                 f"p={f.p} g={f.g} dD={f.dD} e={f.e} ell={f.ell} {f.structure.value}: "
-                f"{len(report.entries)} checks, {len(report.stronger)} unresolved"
+                f"{report.checks} checks, {len(report.stronger)} unresolved"
             )
     print(f"tuples: {tuples}, unresolved: {stronger}", file=sys.stderr)
     return 0

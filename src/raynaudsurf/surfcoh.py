@@ -24,12 +24,13 @@ rule LERAY in surface_cert, or for one degree in h_surface) is the only
 copy of the direct-image table and of the reduction rule.  The one closed
 form left, h1neg_closed_form, writes out the n < 0 sum for h^1 on its own;
 acceptance criterion 07 compares it with the engine.  theorem_predicates
-takes its vanishing entries from proofs on that same table (h^0 for n < 0,
-h^2 from p(p+1) on, h^1 below the window for p = 2, 3) and asks the
-engine only for the rest.  The independent checks of the engine live in
-the tests: Riemann-Roch from numclass, Serre duality on the smooth
-(Tango) tuples, and the engine itself as the oracle of every proven
-vanishing entry.
+takes its vanishing claims from proofs on that same table (h^0 for n < 0,
+h^2 from p(p+1) on, h^1 below the window for p = 2, 3), stores each once
+as an n-range, and asks the engine only for the rest; ThmReport.entries
+expands the ranges into one entry per n.  The independent checks of the
+engine live in the tests: Riemann-Roch from numclass, Serre duality on
+the smooth (Tango) tuples, and the engine itself as the oracle of every
+proven vanishing claim.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ class TheoremContradicted(RuntimeError):
 
 class ThmEntry(NamedTuple):
     theorem: str
-    n: int | None
+    n: int | range | None  # a range for a claim proven on every n in it
     claim: str  # "vanishing" | "nonvanishing" | "identity"
     cert: Cert | None
     verdict: str  # "confirmed" | "stronger"
@@ -292,43 +293,60 @@ class ThmEntry(NamedTuple):
         }
 
 
+def _per_n(claim: ThmEntry) -> tuple[ThmEntry, ...]:
+    if isinstance(claim.n, range):
+        theorem, ns, kind, cert, verdict = claim
+        return tuple(ThmEntry(theorem, n, kind, cert, verdict) for n in ns)
+    return (claim,)
+
+
 class ThmReport(NamedTuple):
+    """The claims of theorem_predicates; one proven over an n-range is stored once."""
+
     params: SurfaceParams
-    entries: tuple[ThmEntry, ...]
+    claims: tuple[ThmEntry, ...]
+
+    @property
+    def entries(self) -> tuple[ThmEntry, ...]:
+        """One entry per n: every range claim expanded in place."""
+        return tuple(e for c in self.claims for e in _per_n(c))
+
+    @property
+    def checks(self) -> int:
+        return sum(len(c.n) if isinstance(c.n, range) else 1 for c in self.claims)
 
     @property
     def stronger(self) -> tuple[ThmEntry, ...]:
-        return tuple(e for e in self.entries if e.verdict == "stronger")
+        return tuple(e for c in self.claims if c.verdict == "stronger" for e in _per_n(c))
+
+    @property
+    def confirmed(self) -> int:
+        return self.checks - len(self.stronger)
 
     def to_json(self) -> dict:
         return {
             "params": self.params.to_json(),
-            "checks": len(self.entries),
-            "confirmed": sum(e.verdict == "confirmed" for e in self.entries),
+            "checks": self.checks,
+            "confirmed": self.confirmed,
             "stronger": [e.to_json() for e in self.stronger],
         }
 
 
-def _entry(theorem: str, n: int | None, claim: str, cert: Cert) -> ThmEntry:
-    if claim == "vanishing":
-        if cert.certainly_nonzero:
-            raise TheoremContradicted(f"{theorem} claims 0 at n={n} but engine has {cert}")
-        verdict = "confirmed" if cert.is_zero else "stronger"
-    elif claim == "nonvanishing":
-        if cert.is_zero:
-            raise TheoremContradicted(f"{theorem} claims nonzero at n={n} but engine has {cert}")
-        verdict = "confirmed" if cert.certainly_nonzero else "stronger"
-    else:
-        verdict = "confirmed"
-    return ThmEntry(theorem, n, claim, cert, verdict)
+def _nonvanishing(theorem: str, n: int, cert: Cert) -> ThmEntry:
+    if cert.is_zero:
+        raise TheoremContradicted(f"{theorem} claims nonzero at n={n} but engine has {cert}")
+    return ThmEntry(theorem, n, "nonvanishing", cert, "confirmed" if cert.certainly_nonzero else "stronger")
 
 
 def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     """Check every closed-form (non-)vanishing statement, over n in windows.
 
-    The vanishing entries come from proofs on the direct-image table, not
+    The vanishing claims come from proofs on the direct-image table, not
     from one engine call per n (the tests compare each proof with
-    h_surface, the oracle):
+    h_surface, the oracle).  Each is stored once, as a ThmEntry whose n is
+    the range it covers, so the report's size does not grow with
+    -nneg_min; report.checks counts its n, and report.entries expands it
+    into one entry per n:
       - h0_zero_negative: for n < 0 every summand has mtw < 0
         (h1neg_closed_form), so no term has a pi_* side and h^0 = 0.
       - h2_vanishes_high: for n >= p(p+1), [(n+i)/ell] >= p(p+1)/ell >=
@@ -346,33 +364,32 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     h1_nonzero_near_zero always asks the engine: taking those entries from
     the witness of h1_nonvanishing_window would make the check circular.
 
-    Raises TheoremContradicted on an opposite certification; entries where
-    the engine only returns a Range are recorded with verdict "stronger".
+    Raises TheoremContradicted on an opposite certification; engine entries
+    where it only returns a Range are recorded with verdict "stronger".
     """
     p, ell = params.p, params.ell
-    entries: list[ThmEntry] = []
+
+    def proven(theorem: str, ns: range) -> ThmEntry:
+        return ThmEntry(theorem, ns, "vanishing", ZERO_CERT, "confirmed")
 
     # h^2 vanishes from p(p+1) on; listed on a finite window.
-    for n in range(p * (p + 1), p * (p + 1) + 3 * ell + 1):
-        entries.append(_entry("h2_vanishes_high", n, "vanishing", ZERO_CERT))
+    claims = [proven("h2_vanishes_high", range(p * (p + 1), p * (p + 1) + 3 * ell + 1))]
 
     # h^1 is nonzero on the window just below 0.
     for n in result1_range(params):
-        entries.append(_entry("h1_nonzero_near_zero", n, "nonvanishing", h_surface(params, 1, n)))
+        claims.append(_nonvanishing("h1_nonzero_near_zero", n, h_surface(params, 1, n)))
 
     # For p = 2, 3 the window is sharp: h^1 vanishes below it.
     if p in (2, 3):
-        for n in range(nneg_min, h1_nonvanishing_window(params)):
-            entries.append(_entry("h1_zero_below_window", n, "vanishing", ZERO_CERT))
+        claims.append(proven("h1_zero_below_window", range(nneg_min, h1_nonvanishing_window(params))))
 
     # Ampleness sanity: no sections in negative degrees.
-    for n in range(nneg_min, 0):
-        entries.append(_entry("h0_zero_negative", n, "vanishing", ZERO_CERT))
+    claims.append(proven("h0_zero_negative", range(nneg_min, 0)))
 
     # The polarization is numerically Etilde plus the pullback of deg D / ell.
     want = ClassX(1, params.dNl)
     if polarization_class(params) != want:
         raise TheoremContradicted(f"polarization class {polarization_class(params)} != {want}")
-    entries.append(ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed"))
+    claims.append(ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed"))
 
-    return ThmReport(params, tuple(entries))
+    return ThmReport(params, tuple(claims))

@@ -261,6 +261,10 @@ def golden_commands() -> dict[str, list[str]]:
     cmds["theorems 2083"] = sweep2083
     cmds["theorems 2083 pretty"] = [*sweep2083, "--format", "pretty"]
     cmds["theorems 2083 nmin -100"] = [*sweep2083, "--nmin", "-100"]
+    # At the window edge -1, h0_zero_negative covers n = -1 alone and every
+    # h1_zero_below_window range is empty.
+    cmds["theorems nmin -1"] = ["theorems", "--nmin", "-1"]
+    cmds["theorems nmin -1 pretty"] = ["theorems", "--nmin", "-1", "--format", "pretty"]
     return cmds
 
 
@@ -295,6 +299,8 @@ GOLDEN_MD5 = {
     "theorems 2083": "903bca58c0f67eee979b25dc066b697a",
     "theorems 2083 pretty": "92f8edcec0a6de21d137b2a7f901faea",
     "theorems 2083 nmin -100": "f6976a0a01df851fc9f6557284b7c32b",
+    "theorems nmin -1": "c663bc7a727708d272ca71f819d06b24",
+    "theorems nmin -1 pretty": "b5f11834adb3c668e8b468017de8fe72",
 }
 
 

@@ -6,10 +6,14 @@ from fractions import Fraction
 import pytest
 
 from raynaudsurf import (
+    ZERO_CERT,
     Cert,
+    ClassX,
     PTerm,
     Structure,
     SurfaceParams,
+    ThmEntry,
+    ThmReport,
     TwistedSym,
     canonical_X,
     certify,
@@ -411,3 +415,54 @@ def test_theorem_predicates_report_json():
     assert blob["checks"] == len(report.entries)
     assert blob["confirmed"] == len(report.entries)
     assert blob["stronger"] == []
+
+
+def _reference_entries(f, nneg_min):
+    """theorem_predicates' listing written out one entry per n, as the oracle."""
+    p, ell = f.p, f.ell
+    want = [ThmEntry("h2_vanishes_high", n, "vanishing", ZERO_CERT, "confirmed")
+            for n in range(p * (p + 1), p * (p + 1) + 3 * ell + 1)]
+    for n in result1_range(f):
+        cert = h_surface(f, 1, n)
+        assert not cert.is_zero, (f, n)
+        want.append(ThmEntry("h1_nonzero_near_zero", n, "nonvanishing", cert,
+                             "confirmed" if cert.certainly_nonzero else "stronger"))
+    if p in (2, 3):
+        want += [ThmEntry("h1_zero_below_window", n, "vanishing", ZERO_CERT, "confirmed")
+                 for n in range(nneg_min, h1_nonvanishing_window(f))]
+    want += [ThmEntry("h0_zero_negative", n, "vanishing", ZERO_CERT, "confirmed") for n in range(nneg_min, 0)]
+    assert polarization_class(f) == ClassX(1, f.dNl)
+    want.append(ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed"))
+    return tuple(want)
+
+
+@pytest.mark.parametrize("nneg_min", [-NMAX, -40, -2, -1])
+def test_report_expands_to_reference_listing(sweep_acceptance, nneg_min):
+    for f in sweep_acceptance:
+        report = theorem_predicates(f, nneg_min=nneg_min)
+        want = _reference_entries(f, nneg_min)
+        assert report.entries == want, (f, nneg_min)
+        blob = report.to_json()
+        assert blob["checks"] == len(want)
+        assert blob["confirmed"] == sum(e.verdict == "confirmed" for e in want)
+
+
+def test_stored_claims_do_not_grow_with_window():
+    # Each proven claim is one record holding its n-range, whatever nneg_min is.
+    for params in (PS1, PS2, PS3, PS4):
+        narrow = theorem_predicates(params, nneg_min=-1).claims
+        wide = theorem_predicates(params, nneg_min=-NMAX).claims
+        assert len(narrow) == len(wide), params
+
+
+def test_report_counts_an_unresolved_check():
+    unresolved = ThmEntry("h1_nonzero_near_zero", -1, "nonvanishing", Cert(0, 2), "stronger")
+    proven = ThmEntry("h0_zero_negative", range(-5, 0), "vanishing", ZERO_CERT, "confirmed")
+    report = ThmReport(PS1, (unresolved, proven))
+    assert report.checks == 6
+    assert report.stronger == (unresolved,)
+    assert report.confirmed == report.checks - len(report.stronger) == 5
+    assert [e.n for e in report.entries] == [-1, -5, -4, -3, -2, -1]
+    blob = report.to_json()
+    assert (blob["checks"], blob["confirmed"]) == (6, 5)
+    assert blob["stronger"] == [unresolved.to_json()]
