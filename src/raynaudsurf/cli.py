@@ -59,7 +59,7 @@ def _check_window(nmin: int, nmax: int) -> None:
         raise SystemExit2(f"|n| is capped at {NMAX}; requested window [{nmin}, {nmax}]")
 
 
-def _dump(obj: dict) -> str:
+def _dump(obj: dict | list) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -140,22 +140,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
             sc = surface_cert(params, n, args.a, args.b)
             rows.append((i, n, sc))
     if args.format == "json":
-        payload = {
-            "params": params.to_json(),
-            "a": args.a,
-            "b": args.b,
-            "rows": [
-                {
-                    "i": i,
-                    "n": n,
-                    "h": sc.h(i).to_json(),
-                    "chi": sc.chi,
-                    "terms": [t.to_json() for t in sc.terms],
-                }
-                for (i, n, sc) in rows
-            ],
-        }
-        print(_dump(payload))
+        # Streamed, with the bytes of one json.dumps of the whole object.
+        # Every twist is certified above, so an error leaves stdout empty;
+        # a twist's terms are encoded once and reused for each degree.
+        out = sys.stdout
+        out.write(f'{{"params":{_dump(params.to_json())},"a":{args.a},"b":{args.b},"rows":[')
+        terms: dict[int, str] = {}
+        for k, (i, n, sc) in enumerate(rows):
+            if n not in terms:
+                terms[n] = _dump([t.to_json() for t in sc.terms])
+            sep = "," if k else ""
+            out.write(f'{sep}{{"i":{i},"n":{n},"h":{_dump(sc.h(i).to_json())},"chi":{sc.chi},"terms":{terms[n]}}}')
+        out.write("]}\n")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["i", "n", "kind", "lo", "hi", "chi"])

@@ -112,6 +112,47 @@ def test_table_twisted_family(capsys):
     assert rows[0]["kind"] == "exact" and rows[0]["lo"] == "0"
 
 
+def test_table_json_encodes_each_twists_terms_once(capsys, monkeypatch):
+    from raynaudsurf import TermReduction
+
+    calls = 0
+    to_json = TermReduction.to_json
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return to_json(self)
+
+    monkeypatch.setattr(TermReduction, "to_json", counting)
+    code, out, _ = run_cli(capsys, ["table", *PS3_FLAGS, *WINDOW])
+    assert code == 0 and len(json.loads(out)["rows"]) == 3 * 61
+    # ell = 4 terms for each of the 61 twists, not again for each degree i.
+    assert calls == 4 * 61
+
+
+def test_table_json_error_mid_window_prints_nothing(capsys, monkeypatch):
+    import raynaudsurf.surfcoh as surfcoh
+    from raynaudsurf import RuleConflict, decompose_twist, reduce_term, surface_cert
+
+    from conftest import PS3
+
+    # The curve sheaves of twist 7; certifying any of them fails.
+    bad = {s for term in decompose_twist(PS3, 7, 7) for s in reduce_term(PS3, term) if s is not None}
+    certify = surfcoh.certify
+
+    def failing(params, sym):
+        if sym in bad:
+            raise RuleConflict("forced for the streaming test")
+        return certify(params, sym)
+
+    surface_cert.cache_clear()
+    monkeypatch.setattr(surfcoh, "certify", failing)
+    code, out, err = run_cli(capsys, ["table", *PS3_FLAGS, *WINDOW])
+    # No head of a JSON object, no rows before twist 7: nothing at all.
+    assert (code, out) == (1, "")
+    assert "RuleConflict" in err
+
+
 def test_table_rejects_bad_i(capsys):
     code, _, err = run_cli(capsys, ["table", *PS1_FLAGS, "--i", "3", "--nmin", "0", "--nmax", "1"])
     assert code == 2
@@ -252,6 +293,11 @@ def golden_commands() -> dict[str, list[str]]:
         for fmt in ("json", "csv", "pretty"):
             cmds[f"table {name} {fmt}"] = ["table", *flags, *WINDOW, "--format", fmt]
     cmds["table PS1 Z_2,1"] = ["table", *PS1_FLAGS, *WINDOW, "--a", "2", "--b", "1"]
+    # JSON rows are streamed: one degree, one twist (no comma between rows)
+    # and a twist exponent b != 1.
+    cmds["table PS3 json i=1"] = ["table", *PS3_FLAGS, *WINDOW, "--i", "1"]
+    cmds["table PS3 json n=0"] = ["table", *PS3_FLAGS, "--nmin", "0", "--nmax", "0"]
+    cmds["table PS3 Z_1,3"] = ["table", *PS3_FLAGS, *WINDOW, "--a", "1", "--b", "3"]
     cmds["section-ring PS1"] = ["section-ring", *PS1_FLAGS, *WINDOW]
     cmds["invariants PS3"] = ["invariants", *PS3_FLAGS]
     cmds["validate PS4"] = ["validate", *PS4_FLAGS]
@@ -291,6 +337,9 @@ GOLDEN_MD5 = {
     "table PS4 csv": "3530377f1c2c5d66ecfe927a45d3472f",
     "table PS4 pretty": "d52c19b275cccbb354ad5a212e126d6a",
     "table PS1 Z_2,1": "f21132a10e08dc5a612d01d51cb327c7",
+    "table PS3 json i=1": "691f5f4e642a23d3fc5196552005a061",
+    "table PS3 json n=0": "ec7d5f053c57777bfa936d0227d944e3",
+    "table PS3 Z_1,3": "b97dcd50c107d2fc7c6ca856412b55cf",
     "section-ring PS1": "cf973b2211edf452cbd2371632979bc4",
     "invariants PS3": "952c5891dcfc7b6656c712ef3e4fe784",
     "validate PS4": "236363f13fad6bc1ca041122a8521841",
