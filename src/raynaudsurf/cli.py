@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 
@@ -198,14 +199,18 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
     for f in enumerate_families(args.pmax, args.gmax, args.ddmax):
         tuples += 1
         report = theorem_predicates(f, nneg_min=args.nmin)
-        stronger += len(report.stronger)
+        # report.stronger expands the stored claims: take it once per report.
         if args.format == "json":
-            print(_dump(report.to_json()))
+            payload = report.to_json()
+            unresolved = len(payload["stronger"])
+            print(_dump(payload))
         else:
+            unresolved = len(report.stronger)
             print(
                 f"p={f.p} g={f.g} dD={f.dD} e={f.e} ell={f.ell} {f.structure.value}: "
-                f"{report.checks} checks, {len(report.stronger)} unresolved"
+                f"{report.checks} checks, {unresolved} unresolved"
             )
+        stronger += unresolved
     print(f"tuples: {tuples}, unresolved: {stronger}", file=sys.stderr)
     return 0
 
@@ -296,5 +301,26 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The console entry point: exit with main()'s code, skipping the shutdown collection.
+
+    The certificate records are NamedTuple subclasses, which the cyclic GC
+    keeps tracking (it un-tracks only exact tuples), so a finished table
+    leaves tens of thousands of tracked objects, and interpreter
+    finalization would traverse them in more than one collection.
+    gc.freeze() moves them out of every generation first, in a `finally`,
+    so it also runs after --version, an argparse error or a non-zero exit
+    code.  This is safe: sys.stdout and sys.stderr are still flushed at
+    finalization, the CLI opens no file and creates no object with a
+    finalizer, and the OS reclaims the frozen heap.  os._exit would skip
+    the stdio flush and the atexit handlers.  main() itself freezes
+    nothing, so in-process callers may call it any number of times.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

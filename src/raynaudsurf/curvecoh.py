@@ -124,11 +124,18 @@ ZERO_CERT = Cert.exact(0)
 
 
 def cert_sum(certs: Iterable[Cert]) -> Cert:
-    """Interval sum over a direct sum of sheaves."""
-    total = ZERO_CERT
+    """Interval sum over a direct sum of sheaves, ZERO_CERT when empty.
+
+    The ends are summed as ints and one Cert is built at the end, not one
+    per summand; hi is None once any summand's is.  The result equals the
+    chain of Cert.__add__ from ZERO_CERT.
+    """
+    lo = hi = 0
     for c in certs:
-        total = total + c
-    return total
+        lo += c.lo
+        if hi is not None:
+            hi = None if c.hi is None else hi + c.hi
+    return Cert(lo, hi)
 
 
 class TwistedSym(NamedTuple):

@@ -91,18 +91,18 @@ class PTerm(NamedTuple):
     t: int
 
 
-def _mstep(params: SurfaceParams, i: int) -> int:
-    """i(p+1)/ell, the O_P(1)-exponent drop of M^i."""
-    q, rem = divmod(i * (params.p + 1), params.ell)
+def _mstep(params: SurfaceParams) -> int:
+    """(p+1)/ell, the O_P(1)-exponent drop of M; M^i drops i times it."""
+    q, rem = divmod(params.p + 1, params.ell)
     if rem:
-        raise AssertionError(f"ell = {params.ell} must divide i(p+1) = {i * (params.p + 1)}")
+        raise AssertionError(f"ell = {params.ell} must divide p+1 = {params.p + 1}")
     return q
 
 
 def decompose_twist(params: SurfaceParams, m: int, tw: int) -> tuple[PTerm, ...]:
     """Terms of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw; Z^n is m = tw = n."""
-    ell, p = params.ell, params.p
-    return tuple(PTerm((m + i) // ell - _mstep(params, i), i * p + tw) for i in range(ell))
+    ell, p, q = params.ell, params.p, _mstep(params)
+    return tuple(PTerm((m + i) // ell - i * q, i * p + tw) for i in range(ell))
 
 
 def reduce_term(params: SurfaceParams, term: PTerm) -> tuple[TwistedSym | None, TwistedSym | None]:
@@ -155,10 +155,11 @@ class SurfCert(NamedTuple):
 def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfCert:
     """All certificates for H^*(X, Z_{a,b}^n), with every term; Z = Z_{1,1}.
 
-    Every side of every term is certified.  Direct sums add interval-wise,
-    each h^i over the sides LERAY feeds into it, and chi is the signed sum
-    of the per-term Euler characteristics.  A query for one degree should
-    use h_surface, which certifies only the sides that degree reads.
+    Every side of every term is certified.  Direct sums add interval-wise
+    (cert_sum), each h^i over the sides LERAY feeds into it, and chi is the
+    signed sum of the per-term Euler characteristics.  A query for one
+    degree should use h_surface, which certifies only the sides that degree
+    reads.
 
     The cache serves the window commands, `table` and `section-ring`.  It
     keeps the last 2*NMAX + 1 = 201 twists, one CLI window, and neither
@@ -191,13 +192,10 @@ def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> 
     is cached; the result equals surface_cert(params, n, a, b).h(i).
     """
     _check_degree(i)
-    total = ZERO_CERT
-    for term in decompose_twist(params, a * n, b * n):
-        sides = reduce_term(params, term)
-        for k, j in LERAY[i]:
-            if sides[k] is not None:
-                total = total + _curve_h(certify(params, sides[k]), j)
-    return total
+    sides_of = (reduce_term(params, term) for term in decompose_twist(params, a * n, b * n))
+    return cert_sum(
+        _curve_h(certify(params, sides[k]), j) for sides in sides_of for k, j in LERAY[i] if sides[k] is not None
+    )
 
 
 def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
@@ -214,12 +212,10 @@ def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
     """
     if n >= 0:
         raise ValueError("closed form only covers n < 0")
-    ell, p = params.ell, params.p
-    parts = [
-        certify(params, TwistedSym(True, _mstep(params, i) - (n + i) // ell - 2, i * p + n - ell)).h0
-        for i in range(ell)
-    ]
-    return cert_sum(parts)
+    ell, p, q = params.ell, params.p, _mstep(params)
+    return cert_sum(
+        certify(params, TwistedSym(True, i * q - (n + i) // ell - 2, i * p + n - ell)).h0 for i in range(ell)
+    )
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -324,11 +320,13 @@ class ThmReport(NamedTuple):
         return self.checks - len(self.stronger)
 
     def to_json(self) -> dict:
+        stronger = self.stronger
+        checks = self.checks
         return {
             "params": self.params.to_json(),
-            "checks": self.checks,
-            "confirmed": self.confirmed,
-            "stronger": [e.to_json() for e in self.stronger],
+            "checks": checks,
+            "confirmed": checks - len(stronger),
+            "stronger": [e.to_json() for e in stronger],
         }
 
 
@@ -368,6 +366,7 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     where it only returns a Range are recorded with verdict "stronger".
     """
     p, ell = params.p, params.ell
+    window = h1_nonvanishing_window(params)
 
     def proven(theorem: str, ns: range) -> ThmEntry:
         return ThmEntry(theorem, ns, "vanishing", ZERO_CERT, "confirmed")
@@ -376,12 +375,12 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     claims = [proven("h2_vanishes_high", range(p * (p + 1), p * (p + 1) + 3 * ell + 1))]
 
     # h^1 is nonzero on the window just below 0.
-    for n in result1_range(params):
+    for n in range(window, 0):  # the result1_range degrees
         claims.append(_nonvanishing("h1_nonzero_near_zero", n, h_surface(params, 1, n)))
 
     # For p = 2, 3 the window is sharp: h^1 vanishes below it.
     if p in (2, 3):
-        claims.append(proven("h1_zero_below_window", range(nneg_min, h1_nonvanishing_window(params))))
+        claims.append(proven("h1_zero_below_window", range(nneg_min, window)))
 
     # Ampleness sanity: no sections in negative degrees.
     claims.append(proven("h0_zero_negative", range(nneg_min, 0)))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
 import csv
+import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -270,6 +273,64 @@ def test_module_entry_point():
     proc = run_python("-m", "raynaudsurf", "invariants", *PS3_FLAGS)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fiber_genus"] == 3
+
+
+def test_main_freezes_nothing(capsys):
+    # In-process callers (tests, benchmarks) call main() many times; only
+    # run(), the process entry point, freezes the heap.
+    before = gc.get_freeze_count()
+    assert main(["table", *PS3_FLAGS, "--nmin", "-3", "--nmax", "3"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_module_prints_what_main_prints(capsys):
+    argv = ["table", *PS3_FLAGS, "--nmin", "-10", "--nmax", "10", "--format", "json"]
+    proc = run_python("-m", "raynaudsurf", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+EXIT_CASES = {
+    "version": (["--version"], 0),
+    "invalid": (["validate", "-p", "4", "-g", "5", "--dD", "2", "-e", "2", "--ell", "2", "--pretango"], 2),
+    "table": (["table", *PS1_FLAGS, "--nmin", "-2", "--nmax", "2", "--format", "csv"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_module_exit_codes_and_frozen_exit(case):
+    argv, code = EXIT_CASES[case]
+    proc = run_python("-m", "raynaudsurf", *argv)
+    assert proc.returncode == code, proc.stderr
+    # atexit handlers run after run()'s finally: the heap is frozen by then,
+    # on the argparse exit of --version as on main()'s return codes.
+    probe = (
+        "import atexit, gc, sys; from raynaudsurf.cli import run; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        f"sys.argv[1:] = {argv!r}; run()"
+    )
+    frozen = run_python("-c", probe)
+    assert (frozen.returncode, frozen.stdout) == (code, proc.stdout)
+    assert frozen.stderr.endswith("frozen True\n"), frozen.stderr
+
+
+def test_console_script_and_module_share_the_entry_point():
+    # The installed command and `python -m raynaudsurf` must not drift apart.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    import raynaudsurf.cli
+
+    repo = Path(__file__).resolve().parent.parent
+    scripts = tomllib.loads((repo / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"raynaudsurf": "raynaudsurf.cli:run"}
+    module, name = scripts["raynaudsurf"].split(":")
+    assert getattr(importlib.import_module(module), name) is raynaudsurf.cli.run
+    tree = ast.parse((repo / "src" / "raynaudsurf" / "__main__.py").read_text())
+    imported = [(node.level, node.module, [a.name for a in node.names]) for node in tree.body[:-1]]
+    last = tree.body[-1]
+    assert imported == [(1, "cli", ["run"])]
+    assert isinstance(last, ast.Expr) and ast.unparse(last) == "run()"
 
 
 def test_cold_import_skips_dataclasses_and_inspect():

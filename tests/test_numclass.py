@@ -76,6 +76,16 @@ def test_pullback_examples():
     assert intersect_X(PS1, lifted, lifted) == PS1.ell * PS1.dD
 
 
+def test_polarization_pulls_back_from_P(sweep_acceptance):
+    # The runtime entry polarization_is_etilde_plus_root compares
+    # polarization_class with its own expression.  The independent route:
+    # psi^*E = ell*Etilde (z^ell cuts out E) and Nl^ell = O(D), so
+    # ell*Z_{a,b} = psi^*(a*E + b*dD*f).
+    for f in sweep_acceptance:
+        for a, b in ((1, 1), (2, 1), (1, f.ell - 1)):
+            assert f.ell * polarization_class(f, a, b) == pullback_psi(f, a * E_P + b * f.dD * FIBER_P), (f, a, b)
+
+
 @given(a=classes_p(), b=classes_p())
 @settings(max_examples=200, deadline=None)
 def test_pullback_scales_pairing_by_degree(a, b):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -32,7 +34,7 @@ from raynaudsurf import (
     zab_nonvanishing,
 )
 from raynaudsurf.cli import main
-from raynaudsurf.surfcoh import NMAX
+from raynaudsurf.surfcoh import LERAY, NMAX
 
 from conftest import PS1, PS2, PS3, PS4
 
@@ -225,6 +227,45 @@ def test_h_surface_equals_full_certificate(sweep_acceptance):
                 assert h_surface(f, i, n, a, b) == sc.h(i), (f, i, n, a, b)
                 cells += 1
     assert cells == 64392
+
+
+def _leray_reference(f, n, a, b):
+    """(h^0, h^1, h^2, chi) of Z_{a,b}^n with one validated Cert per summand.
+
+    The engine's earlier expression: every side of every term certified,
+    each degree summed over its LERAY sides by the chain of Cert.__add__
+    from ZERO_CERT, and chi from certify's per-side chi.
+    """
+    certs = []
+    for term in decompose_twist(f, a * n, b * n):
+        certs.append(tuple(None if s is None else certify(f, s) for s in reduce_term(f, term)))
+    h = tuple(
+        functools.reduce(
+            operator.add,
+            ((sides[k].h1 if j else sides[k].h0) for sides in certs for k, j in LERAY[i] if sides[k] is not None),
+            ZERO_CERT,
+        )
+        for i in range(3)
+    )
+    chi = sum((push.chi if push else 0) - (derived.chi if derived else 0) for push, derived in certs)
+    return (*h, chi)
+
+
+def test_integer_sums_match_the_cert_chain(sweep_small):
+    # certify always bounds hi, so these sums never meet hi = None;
+    # test_cert_addition pins that path of cert_sum.
+    cells = 0
+    for f in sweep_small:
+        for a, b in ((1, 1), (2, 1)):
+            for n in range(-30, 31):
+                *want, want_chi = _leray_reference(f, n, a, b)
+                sc = surface_cert(f, n, a, b)
+                assert sc.chi == sum(r.chi for r in sc.terms) == want_chi, (f, n, a, b)
+                for i in range(3):
+                    assert sc.h(i) == h_surface(f, i, n, a, b) == want[i], (f, i, n, a, b)
+                    assert type(sc.h(i)) is Cert
+                    cells += 1
+    assert cells == len(sweep_small) * 2 * 61 * 3
 
 
 def test_h0_and_h2_checks_certify_nothing(sweep_acceptance):
