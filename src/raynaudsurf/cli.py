@@ -15,6 +15,7 @@ import json
 import sys
 
 from . import __version__
+from .curvecoh import Cert, CohCert
 from .numclass import (
     canonical_X,
     cusp_exponents,
@@ -26,7 +27,7 @@ from .numclass import (
 )
 from .params import InvalidParams, Structure, SurfaceParams, enumerate_families, is_normal, is_smooth, validate
 from .sectionring import local_cohomology_report
-from .surfcoh import NMAX, TheoremContradicted, surface_cert, theorem_predicates
+from .surfcoh import NMAX, TermReduction, TheoremContradicted, surface_cert, theorem_predicates
 
 
 class SystemExit2(Exception):
@@ -62,6 +63,34 @@ def _check_window(nmin: int, nmax: int) -> None:
 
 def _dump(obj: dict | list) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _cert_fields(h: Cert) -> str:
+    return f'"kind":"{h.kind}","lo":{h.lo},"hi":{"null" if h.hi is None else h.hi}'
+
+
+def _side_json(cc: CohCert | None) -> str:
+    if cc is None:
+        return "null"
+    dual, m, t = cc.sheaf
+    c = cc.chi
+    return (
+        f'{{"dual":{"true" if dual else "false"},"m":{m},"t":{t},"chi":{c},'
+        f'"h0":{{{_cert_fields(cc.h0)},"chi":{c}}},"h1":{{{_cert_fields(cc.h1)},"chi":{c}}}}}'
+    )
+
+
+def _term_json(rec: TermReduction) -> str:
+    """One `table` term as compact JSON, with the bytes json.dumps would write.
+
+    The values are ints, true/false/null and the three Cert kinds, so
+    nothing needs escaping and an f-string writes them directly.
+    """
+    term = rec.term
+    return (
+        f'{{"mtw":{term.mtw},"t":{term.t},"pi":{_side_json(rec.pushforward)},'
+        f'"r1pi":{_side_json(rec.derived)},"chi":{rec.chi}}}'
+    )
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -141,17 +170,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
             sc = surface_cert(params, n, args.a, args.b)
             rows.append((i, n, sc))
     if args.format == "json":
-        # Streamed, with the bytes of one json.dumps of the whole object.
-        # Every twist is certified above, so an error leaves stdout empty;
-        # a twist's terms are encoded once and reused for each degree.
+        # Streamed, with the bytes of one json.dumps of the whole object,
+        # written as text (_term_json).  Every twist is certified above, so
+        # an error leaves stdout empty; a twist's terms are encoded once
+        # and reused for each degree.
         out = sys.stdout
         out.write(f'{{"params":{_dump(params.to_json())},"a":{args.a},"b":{args.b},"rows":[')
         terms: dict[int, str] = {}
         for k, (i, n, sc) in enumerate(rows):
             if n not in terms:
-                terms[n] = _dump([t.to_json() for t in sc.terms])
+                terms[n] = f"[{','.join(map(_term_json, sc.terms))}]"
             sep = "," if k else ""
-            out.write(f'{sep}{{"i":{i},"n":{n},"h":{_dump(sc.h(i).to_json())},"chi":{sc.chi},"terms":{terms[n]}}}')
+            out.write(f'{sep}{{"i":{i},"n":{n},"h":{{{_cert_fields(sc.h(i))}}},"chi":{sc.chi},"terms":{terms[n]}}}')
         out.write("]}\n")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -302,20 +332,31 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The console entry point: exit with main()'s code, skipping the shutdown collection.
+    """The console entry point: main() with the cyclic GC off, then exit skipping the shutdown collection.
+
+    gc.disable() comes first.  The engine makes no reference cycles: every
+    record is a tuple of values that exist before it, so reference counting
+    frees whatever a run drops, and the collections the allocation counter
+    would trigger only traverse the cached records.
+    With the collector off, one gc.collect() after main() finds the same
+    few hundred unreachable objects (argparse's parser graph) whatever the
+    window or the sweep, so memory stays bounded without it.
 
     The certificate records are NamedTuple subclasses, which the cyclic GC
     keeps tracking (it un-tracks only exact tuples), so a finished table
     leaves tens of thousands of tracked objects, and interpreter
-    finalization would traverse them in more than one collection.
-    gc.freeze() moves them out of every generation first, in a `finally`,
-    so it also runs after --version, an argparse error or a non-zero exit
-    code.  This is safe: sys.stdout and sys.stderr are still flushed at
-    finalization, the CLI opens no file and creates no object with a
-    finalizer, and the OS reclaims the frozen heap.  os._exit would skip
-    the stdio flush and the atexit handlers.  main() itself freezes
-    nothing, so in-process callers may call it any number of times.
+    finalization, which collects even when the collector is off, would
+    traverse them in more than one collection.  gc.freeze() moves them out
+    of every generation first, in a `finally`, so it also runs after
+    --version, an argparse error or a non-zero exit code.  This is safe:
+    sys.stdout and sys.stderr are still flushed at finalization, the CLI
+    opens no file and creates no object with a finalizer, and the OS
+    reclaims the frozen heap.  os._exit would skip the stdio flush and the
+    atexit handlers.  main() itself neither disables the collector nor
+    freezes anything, so in-process callers may call it any number of
+    times.
     """
+    gc.disable()
     try:
         sys.exit(main())
     finally:

@@ -186,9 +186,9 @@ def line_bundle_h0_bounds(params: SurfaceParams, t: int) -> tuple[int, int]:
     c = deg + 1 - params.g
     if deg > 2 * params.g - 2:
         return c, c
-    lo = max(0, c)
-    if t % params.ell == 0:
-        lo = max(lo, 1)
+    lo = c if c > 0 else 0
+    if lo < 1 and t % params.ell == 0:
+        lo = 1
     return lo, deg + 1
 
 
@@ -200,20 +200,12 @@ class CohCert(NamedTuple):
     h0: Cert
     h1: Cert
 
-    def to_json(self) -> dict:
-        return {
-            "dual": self.sheaf.dualized,
-            "m": self.sheaf.m,
-            "t": self.sheaf.t,
-            "chi": self.chi,
-            "h0": {**self.h0.to_json(), "chi": self.chi},
-            "h1": {**self.h1.to_json(), "chi": self.chi},
-        }
-
 
 def _transport_h1(h0: Cert, chi_value: int) -> Cert:
     # h1 = h0 - chi on the nose, clamped at 0 from below.
-    lo = max(0, h0.lo - chi_value)
+    lo = h0.lo - chi_value
+    if lo < 0:
+        lo = 0
     hi = None if h0.hi is None else h0.hi - chi_value
     if hi is not None and hi < lo:
         raise RuleConflict(f"h1 transport emptied the interval: h0={h0}, chi={chi_value}")
@@ -228,7 +220,7 @@ def _clipped_series_sum(d0: int, step: int, m: int) -> int:
     """
     if step < 0:
         d0, step = d0 + m * step, -step
-    j0 = max(0, -(d0 // step))  # least j with d0 + j*step >= 0
+    j0 = 0 if d0 >= 0 else -(d0 // step)  # least j with d0 + j*step >= 0
     k = m + 1 - j0
     if k <= 0:
         return 0
@@ -253,33 +245,45 @@ def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
     The quotient degrees d_j = t*dNl + j*step (step = +-ell*dNl) are never
     listed: R4 is max(d_0, d_m) < 0, the nonspecial test is
     min(d_0, d_m) > 2g-2 and R5 is one arithmetic series, so the work is
-    O(1) in m.
+    O(1) in m.  chi is read from the same ends: deg is the sum of the
+    quotient degrees, (m+1)(d_0 + d_m)/2, an integer because m(m+1) is
+    even, so chi = (m+1)(d_0 + d_m)/2 + (m+1)(1-g).  That is Riemann-Roch,
+    chi(params, sheaf), because ell | dD makes ell*dNl = dD: the series
+    is (m+1)*t*dNl +- (m(m+1)/2)*dD, which is degree(params, sheaf).
     """
-    if sheaf.is_zero:
+    dualized, m, t = sheaf
+    if m < 0:  # R0
         return CohCert(sheaf, 0, ZERO_CERT, ZERO_CERT)
-    c = chi(params, sheaf)
-    step = (-1 if sheaf.dualized else 1) * params.ell * params.dNl
-    d0 = sheaf.t * params.dNl
-    dm = d0 + sheaf.m * step
-    if sheaf.m == 0:
-        lo, hi = line_bundle_h0_bounds(params, sheaf.t)
+    ell, g = params.ell, params.g
+    dNl = params.dD // ell
+    step = -ell * dNl if dualized else ell * dNl
+    d0 = t * dNl
+    dm = d0 + m * step
+    c = (m + 1) * (d0 + dm) // 2 + (m + 1) * (1 - g)
+    if m == 0:  # R1
+        lo, hi = line_bundle_h0_bounds(params, t)
     else:
-        lo = max(0, c)
-        hi = _clipped_series_sum(d0, step, sheaf.m)
-        if sheaf.dualized and sheaf.t < params.ell:
-            hi = min(hi, 0)
-        if max(d0, dm) < 0:
-            hi = min(hi, 0)
-        if not sheaf.dualized and sheaf.t >= 0:
-            lo = max(lo, line_bundle_h0_bounds(params, sheaf.t)[0])
-        if sheaf.dualized and sheaf.t >= sheaf.m * params.ell:
-            lo = max(lo, line_bundle_h0_bounds(params, sheaf.t - sheaf.m * params.ell)[0])
-    nonspecial = min(d0, dm) > 2 * params.g - 2
+        lo = c if c > 0 else 0  # R6
+        hi = _clipped_series_sum(d0, step, m)  # R5, so hi >= 0
+        if dualized and t < ell:  # R2
+            hi = 0
+        if d0 < 0 and dm < 0:  # R4
+            hi = 0
+        if not dualized and t >= 0:  # R3: O_C -> S^m(E)
+            unit = line_bundle_h0_bounds(params, t)[0]
+            if unit > lo:
+                lo = unit
+        if dualized and t >= m * ell:  # R3: O(-mD) -> S^m(E)^v
+            unit = line_bundle_h0_bounds(params, t - m * ell)[0]
+            if unit > lo:
+                lo = unit
+    nonspecial = d0 > 2 * g - 2 and dm > 2 * g - 2
     if nonspecial:
-        lo = max(lo, c)
-        hi = min(hi, c)
+        if c > lo:
+            lo = c
+        if c < hi:
+            hi = c
     if lo > hi:
         raise RuleConflict(f"h0 rules conflict on {sheaf}: lo={lo} > hi={hi}")
     h0 = Cert(lo, hi)
-    h1 = ZERO_CERT if nonspecial else _transport_h1(h0, c)
-    return CohCert(sheaf, c, h0, h1)
+    return CohCert(sheaf, c, h0, ZERO_CERT if nonspecial else _transport_h1(h0, c))

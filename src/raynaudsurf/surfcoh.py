@@ -71,7 +71,8 @@ NMAX = 100
 #   H^i(P, F) = H^i(C, pi_* F) (+) H^(i-1)(C, R^1 pi_* F).
 # LERAY[i] lists the (side, curve degree) pairs that feed H^i, side 0 being
 # a term's pi_* side and side 1 its R^1 pi_* side: h^0 reads only pi_*
-# sides, h^2 only R^1 pi_* sides, h^1 both.
+# sides, h^2 only R^1 pi_* sides, h^1 both.  So side k's curve h^j feeds
+# H^(k+j), which is how surface_cert applies it in one pass.
 LERAY = (((0, 0),), ((0, 1), (1, 0)), ((1, 1),))
 
 
@@ -102,7 +103,7 @@ def _mstep(params: SurfaceParams) -> int:
 def decompose_twist(params: SurfaceParams, m: int, tw: int) -> tuple[PTerm, ...]:
     """Terms of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw; Z^n is m = tw = n."""
     ell, p, q = params.ell, params.p, _mstep(params)
-    return tuple(PTerm((m + i) // ell - i * q, i * p + tw) for i in range(ell))
+    return tuple([PTerm((m + i) // ell - i * q, i * p + tw) for i in range(ell)])
 
 
 def reduce_term(params: SurfaceParams, term: PTerm) -> tuple[TwistedSym | None, TwistedSym | None]:
@@ -127,15 +128,6 @@ class TermReduction(NamedTuple):
     derived: CohCert | None      # R^1 pi_* side, present when mtw <= -2
     chi: int                     # chi(pi_* part) - chi(R^1 pi_* part)
 
-    def to_json(self) -> dict:
-        return {
-            "mtw": self.term.mtw,
-            "t": self.term.t,
-            "pi": None if self.pushforward is None else self.pushforward.to_json(),
-            "r1pi": None if self.derived is None else self.derived.to_json(),
-            "chi": self.chi,
-        }
-
 
 class SurfCert(NamedTuple):
     """Certificates for h^0, h^1, h^2 of one power of the polarization."""
@@ -155,11 +147,12 @@ class SurfCert(NamedTuple):
 def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfCert:
     """All certificates for H^*(X, Z_{a,b}^n), with every term; Z = Z_{1,1}.
 
-    Every side of every term is certified.  Direct sums add interval-wise
-    (cert_sum), each h^i over the sides LERAY feeds into it, and chi is the
-    signed sum of the per-term Euler characteristics.  A query for one
-    degree should use h_surface, which certifies only the sides that degree
-    reads.
+    One pass over the terms certifies every present side once.  By LERAY,
+    the curve h^j of side k (0 for pi_*, 1 for R^1 pi_*) feeds the surface
+    h^(k+j); the interval ends are summed as ints with cert_sum's rule
+    (hi is None once a summand's is), and chi is the signed sum of the
+    per-term Euler characteristics.  A query for one degree should use
+    h_surface, which certifies only the sides that degree reads.
 
     The cache serves the window commands, `table` and `section-ring`.  It
     keeps the last 2*NMAX + 1 = 201 twists, one CLI window, and neither
@@ -167,19 +160,26 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     loops over i outside n and `section-ring` over j outside n, so a twist
     recurs after the other 2*NMAX.  So the bound drops no hit.
     """
+    lo = [0, 0, 0]
+    hi: list[int | None] = [0, 0, 0]
+    total_chi = 0
     recs: list[TermReduction] = []
     for term in decompose_twist(params, a * n, b * n):
-        pi, r1pi = reduce_term(params, term)
-        push = None if pi is None else certify(params, pi)
-        derived = None if r1pi is None else certify(params, r1pi)
-        tchi = (push.chi if push else 0) - (derived.chi if derived else 0)
-        recs.append(TermReduction(term, push, derived, tchi))
-    certs = [(r.pushforward, r.derived) for r in recs]
-    h0, h1, h2 = (
-        cert_sum(_curve_h(sides[k], j) for sides in certs for k, j in LERAY[i] if sides[k] is not None)
-        for i in range(3)
-    )
-    return SurfCert(h0, h1, h2, sum(r.chi for r in recs), tuple(recs))
+        certs: list[CohCert | None] = [None, None]
+        tchi = 0
+        for k, sheaf in enumerate(reduce_term(params, term)):
+            if sheaf is None:
+                continue
+            cert = certs[k] = certify(params, sheaf)
+            tchi += -cert.chi if k else cert.chi
+            for i, h in ((k, cert.h0), (k + 1, cert.h1)):
+                lo[i] += h.lo
+                if hi[i] is not None:
+                    hi[i] = None if h.hi is None else hi[i] + h.hi
+        total_chi += tchi
+        recs.append(TermReduction(term, certs[0], certs[1], tchi))
+    h0, h1, h2 = map(Cert, lo, hi)
+    return SurfCert(h0, h1, h2, total_chi, tuple(recs))
 
 
 def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> Cert:
@@ -274,15 +274,20 @@ class TheoremContradicted(RuntimeError):
 
 class ThmEntry(NamedTuple):
     theorem: str
-    n: int | range | None  # a range for a claim proven on every n in it
+    n: int | range | None  # a unit-step range for a claim proven on every n in it
     claim: str  # "vanishing" | "nonvanishing" | "identity"
     cert: Cert | None
     verdict: str  # "confirmed" | "stronger"
 
     def to_json(self) -> dict:
+        """The entry as JSON values; a range n is [first, last], both included.
+
+        An empty range encodes as [start, start - 1].
+        """
+        n = self.n
         return {
             "theorem": self.theorem,
-            "n": self.n,
+            "n": [n.start, n.stop - 1] if isinstance(n, range) else n,
             "claim": self.claim,
             "h": None if self.cert is None else self.cert.to_json(),
             "verdict": self.verdict,

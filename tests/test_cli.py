@@ -116,21 +116,70 @@ def test_table_twisted_family(capsys):
 
 
 def test_table_json_encodes_each_twists_terms_once(capsys, monkeypatch):
-    from raynaudsurf import TermReduction
+    import raynaudsurf.cli as cli_mod
 
     calls = 0
-    to_json = TermReduction.to_json
+    term_json = cli_mod._term_json
 
-    def counting(self):
+    def counting(rec):
         nonlocal calls
         calls += 1
-        return to_json(self)
+        return term_json(rec)
 
-    monkeypatch.setattr(TermReduction, "to_json", counting)
+    monkeypatch.setattr(cli_mod, "_term_json", counting)
     code, out, _ = run_cli(capsys, ["table", *PS3_FLAGS, *WINDOW])
     assert code == 0 and len(json.loads(out)["rows"]) == 3 * 61
     # ell = 4 terms for each of the 61 twists, not again for each degree i.
     assert calls == 4 * 61
+
+
+def _reference_side(cc):
+    if cc is None:
+        return None
+    return {
+        "dual": cc.sheaf.dualized,
+        "m": cc.sheaf.m,
+        "t": cc.sheaf.t,
+        "chi": cc.chi,
+        "h0": {**cc.h0.to_json(), "chi": cc.chi},
+        "h1": {**cc.h1.to_json(), "chi": cc.chi},
+    }
+
+
+def _reference_term(rec):
+    """The JSON shape of one `table` term, built as a dict (the text encoder's oracle)."""
+    return {
+        "mtw": rec.term.mtw,
+        "t": rec.term.t,
+        "pi": _reference_side(rec.pushforward),
+        "r1pi": _reference_side(rec.derived),
+        "chi": rec.chi,
+    }
+
+
+def test_term_text_matches_the_dict_reference():
+    from raynaudsurf import Cert, surface_cert
+    from raynaudsurf.cli import _cert_fields, _term_json
+
+    from conftest import PS1, PS2, PS3, PS4
+
+    kinds, terms = set(), 0
+    for params, a, b in ((PS1, 1, 1), (PS2, 1, 1), (PS3, 1, 1), (PS4, 1, 1), (PS1, 2, 1)):
+        for n in range(-30, 31):
+            for rec in surface_cert(params, n, a, b).terms:
+                text = _term_json(rec)
+                want = _reference_term(rec)
+                assert json.loads(text) == want, (params, n, a, b, rec.term)
+                # The table's bytes: json.dumps of the dict with compact separators.
+                assert text == json.dumps(want, separators=(",", ":"))
+                kinds |= {side[h]["kind"] for side in (want["pi"], want["r1pi"]) if side for h in ("h0", "h1")}
+                terms += 1
+    assert terms == 61 * (3 + 2 + 4 + 3 + 3)
+    assert kinds == {"exact", "range"}
+    # A table row's "h" and a side's "h0"/"h1" share the Cert encoding; the
+    # engine never yields a LowerBound, so it is pinned here.
+    for cert in (Cert.exact(0), Cert(1, 4), Cert.at_least(1)):
+        assert f"{{{_cert_fields(cert)}}}" == json.dumps(cert.to_json(), separators=(",", ":"))
 
 
 def test_table_json_error_mid_window_prints_nothing(capsys, monkeypatch):
@@ -277,11 +326,19 @@ def test_module_entry_point():
 
 def test_main_freezes_nothing(capsys):
     # In-process callers (tests, benchmarks) call main() many times; only
-    # run(), the process entry point, freezes the heap.
-    before = gc.get_freeze_count()
-    assert main(["table", *PS3_FLAGS, "--nmin", "-3", "--nmax", "3"]) == 0
-    capsys.readouterr()
-    assert gc.get_freeze_count() == before
+    # run(), the process entry point, turns the collector off and freezes
+    # the heap.  main() leaves the collector as it found it, on or off.
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            before = gc.get_freeze_count()
+            assert main(["table", *PS3_FLAGS, "--nmin", "-3", "--nmax", "3"]) == 0
+            capsys.readouterr()
+            assert gc.get_freeze_count() == before
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_module_prints_what_main_prints(capsys):
@@ -304,16 +361,68 @@ def test_module_exit_codes_and_frozen_exit(case):
     argv, code = EXIT_CASES[case]
     proc = run_python("-m", "raynaudsurf", *argv)
     assert proc.returncode == code, proc.stderr
-    # atexit handlers run after run()'s finally: the heap is frozen by then,
-    # on the argparse exit of --version as on main()'s return codes.
+    # atexit handlers run after run()'s finally: the heap is frozen and the
+    # collector is off by then, on the argparse exit of --version as on
+    # main()'s return codes.
     probe = (
         "import atexit, gc, sys; from raynaudsurf.cli import run; "
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, "
+        "'collector', gc.isenabled(), file=sys.stderr)); "
         f"sys.argv[1:] = {argv!r}; run()"
     )
     frozen = run_python("-c", probe)
     assert (frozen.returncode, frozen.stdout) == (code, proc.stdout)
-    assert frozen.stderr.endswith("frozen True\n"), frozen.stderr
+    assert frozen.stderr.endswith("frozen True collector False\n"), frozen.stderr
+
+
+# The cheapest and a costly run of the same command.  The l = 24 tuple is
+# the largest cover the benchmark's `tables` workload draws from.
+ELL24_FLAGS = ["-p", "23", "-g", "295", "--dD", "24", "-e", "24", "--ell", "24", "--pretango"]
+CYCLE_PAIRS = {
+    "table": (
+        ["table", *ELL24_FLAGS, "--nmin", "-1", "--nmax", "1"],
+        ["table", *ELL24_FLAGS, "--nmin", "-100", "--nmax", "100"],
+    ),
+    # The smallest sweep holds the Tango and pre-Tango variants of one tuple.
+    "theorems": (
+        ["theorems", "--pmax", "2", "--gmax", "4", "--ddmax", "3"],
+        ["theorems", "--pmax", "5", "--gmax", "12", "--ddmax", "8"],
+    ),
+}
+
+
+def unreachable_after_main(argv: list[str]) -> int:
+    """Objects a gc.collect() finds unreachable after main(argv), collector off throughout."""
+    probe = "\n".join([
+        "import gc",
+        "gc.disable()",
+        "import contextlib, io",
+        "from raynaudsurf.cli import main",
+        "gc.collect()",
+        "out, err = io.StringIO(), io.StringIO()",
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        f"    code = main({argv!r})",
+        "print(code, len(out.getvalue()) > 0, gc.collect())",
+    ])
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    code, wrote, unreachable = proc.stdout.split()
+    assert (code, wrote) == ("0", "True"), argv
+    return int(unreachable)
+
+
+@pytest.mark.parametrize("command", sorted(CYCLE_PAIRS))
+def test_engine_makes_no_reference_cycles(command):
+    # run() keeps the cyclic collector off.  That is safe only while the
+    # garbage it leaves does not grow with the work: the few hundred objects
+    # left (argparse's parser graph) must be the same for a tiny and a large
+    # window, and for a 2-tuple and a 70-tuple sweep.
+    from raynaudsurf import enumerate_families
+
+    assert [len(list(enumerate_families(2, 4, 3))), len(list(enumerate_families(5, 12, 8)))] == [2, 70]
+    small, large = (unreachable_after_main(argv) for argv in CYCLE_PAIRS[command])
+    assert small == large, (small, large)
+    assert small < 1000
 
 
 def test_console_script_and_module_share_the_entry_point():

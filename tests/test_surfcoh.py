@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
 import operator
 from fractions import Fraction
@@ -268,6 +269,35 @@ def test_integer_sums_match_the_cert_chain(sweep_small):
     assert cells == len(sweep_small) * 2 * 61 * 3
 
 
+def test_leray_pairs_sum_to_the_degree():
+    # surface_cert applies LERAY in one pass as "side k's curve h^j feeds h^(k+j)".
+    assert LERAY == tuple(tuple((k, i - k) for k in (0, 1) if 0 <= i - k <= 1) for i in range(3))
+
+
+def test_inline_chi_matches_riemann_roch(sweep_small):
+    # certify reads chi from the ends of its quotient-degree progression.
+    # chi(), deg + rank*(1-g) through degree() and rank(), is the oracle on
+    # every side surface_cert certifies, and each twist's chi must still be
+    # the Riemann-Roch value from numclass (see test_chi_matches_riemann_roch).
+    sides = want_sides = 0
+    for f in sweep_small:
+        kx = canonical_X(f)
+        chi0 = surface_cert(f, 0).chi
+        for a, b in ((1, 1), (2, 1)):
+            z = polarization_class(f, a, b)
+            for n in range(-30, 31):
+                sc = surface_cert(f, n, a, b)
+                for rec in sc.terms:
+                    for cc in (rec.pushforward, rec.derived):
+                        if cc is not None:
+                            assert cc.chi == chi(f, cc.sheaf), (f, n, a, b, cc.sheaf)
+                            sides += 1
+                want_sides += sum(term.mtw != -1 for term in decompose_twist(f, a * n, b * n))
+                zn = n * z
+                assert sc.chi == chi0 + (intersect_X(f, zn, zn) - intersect_X(f, zn, kx)) / 2, (f, n, a, b)
+    assert sides == want_sides > 0
+
+
 def test_h0_and_h2_checks_certify_nothing(sweep_acceptance):
     # h0_zero_negative, h2_vanishes_high and h1_zero_below_window come from
     # proofs and read no curve certificate.  So the certify calls of
@@ -486,6 +516,27 @@ def test_report_expands_to_reference_listing(sweep_acceptance, nneg_min):
         blob = report.to_json()
         assert blob["checks"] == len(want)
         assert blob["confirmed"] == sum(e.verdict == "confirmed" for e in want)
+
+
+def test_claims_serialize_as_json(sweep_small):
+    # A range n encodes as [first, last], both ends included; at nneg_min =
+    # -1 the h1_zero_below_window ranges are empty and read [start, start - 1].
+    ranges = empty = 0
+    for f in sweep_small:
+        for nneg_min in (-40, -1):
+            for claim in theorem_predicates(f, nneg_min=nneg_min).claims:
+                blob = json.loads(json.dumps(claim.to_json()))
+                if isinstance(claim.n, range):
+                    first, last = blob["n"]
+                    assert (first, last + 1) == (claim.n.start, claim.n.stop), (f, claim)
+                    assert list(range(first, last + 1)) == list(claim.n)
+                    ranges += 1
+                    empty += len(claim.n) == 0
+                else:
+                    assert blob["n"] == claim.n
+                assert blob["h"] == (None if claim.cert is None else claim.cert.to_json())
+                assert (blob["theorem"], blob["claim"], blob["verdict"]) == (claim.theorem, claim.claim, claim.verdict)
+    assert ranges > empty > 0
 
 
 def test_stored_claims_do_not_grow_with_window():
