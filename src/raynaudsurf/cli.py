@@ -225,23 +225,33 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
         raise SystemExit2(f"|n| is capped at {NMAX}; requested nmin {args.nmin}")
     if args.nmin >= 0:
         raise SystemExit2(f"--nmin must be negative, got {args.nmin}")
-    tuples = stronger = 0
+    as_json = args.format == "json"
+    out = sys.stdout
+    tuples = total = 0
     for f in enumerate_families(args.pmax, args.gmax, args.ddmax):
         tuples += 1
         report = theorem_predicates(f, nneg_min=args.nmin)
-        # report.stronger expands the stored claims: take it once per report.
-        if args.format == "json":
-            payload = report.to_json()
-            unresolved = len(payload["stronger"])
-            print(_dump(payload))
-        else:
-            unresolved = len(report.stronger)
-            print(
-                f"p={f.p} g={f.g} dD={f.dD} e={f.e} ell={f.ell} {f.structure.value}: "
-                f"{report.checks} checks, {unresolved} unresolved"
+        # Both properties walk the stored claims: read each once per report.
+        stronger, checks = report.stronger, report.checks
+        unresolved = len(stronger)
+        if as_json:
+            # The bytes of _dump(report.to_json()), written as text: the
+            # params are ints and a structure name, the counts ints.  A
+            # stronger entry, which no real sweep has yet produced, keeps
+            # its dict encoder.
+            entries = ",".join([_dump(e.to_json()) for e in stronger])
+            out.write(
+                f'{{"params":{{"p":{f.p},"g":{f.g},"dD":{f.dD},"e":{f.e},"ell":{f.ell},'
+                f'"structure":"{f.structure.value}"}},"checks":{checks},'
+                f'"confirmed":{checks - unresolved},"stronger":[{entries}]}}\n'
             )
-        stronger += unresolved
-    print(f"tuples: {tuples}, unresolved: {stronger}", file=sys.stderr)
+        else:
+            out.write(
+                f"p={f.p} g={f.g} dD={f.dD} e={f.e} ell={f.ell} {f.structure.value}: "
+                f"{checks} checks, {unresolved} unresolved\n"
+            )
+        total += unresolved
+    print(f"tuples: {tuples}, unresolved: {total}", file=sys.stderr)
     return 0
 
 

@@ -263,6 +263,50 @@ def test_theorems_small_sweep(capsys):
     assert "unresolved: 0" in err
 
 
+def _report_line(report) -> str:
+    """A `theorems` JSON line as json.dumps writes the report's dict (the text writer's oracle)."""
+    return json.dumps(report.to_json(), separators=(",", ":"))
+
+
+def test_theorems_text_matches_the_dict_reference(capsys, sweep_small):
+    from raynaudsurf import theorem_predicates
+
+    for nneg_min in (-40, -1):
+        code, out, _ = run_cli(capsys, ["theorems", "--pmax", "5", "--gmax", "12", "--ddmax", "8", "--nmin", str(nneg_min)])
+        assert code == 0
+        want = [_report_line(theorem_predicates(f, nneg_min=nneg_min)) for f in sweep_small]
+        assert out.splitlines() == want, nneg_min
+
+
+def test_theorems_text_writes_stronger_entries(capsys, monkeypatch):
+    # No real sweep yields a "stronger" entry, so a hand-built report holds
+    # them: one with a Range cert, and one with a LowerBound cert stored
+    # over an n-range, beside a proven range claim and an identity.
+    import raynaudsurf.cli as cli_mod
+    from raynaudsurf import ZERO_CERT, Cert, ThmEntry, ThmReport
+
+    claims = (
+        ThmEntry("h1_nonzero_near_zero", -1, "nonvanishing", Cert(0, 2), "stronger"),
+        ThmEntry("h0_zero_negative", range(-5, 0), "vanishing", ZERO_CERT, "confirmed"),
+        ThmEntry("h1_nonzero_near_zero", range(-3, -1), "nonvanishing", Cert.at_least(1), "stronger"),
+        ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed"),
+    )
+    reports = []
+
+    def hand_built(params, nneg_min=-40):
+        reports.append(ThmReport(params, claims))
+        return reports[-1]
+
+    monkeypatch.setattr(cli_mod, "theorem_predicates", hand_built)
+    code, out, err = run_cli(capsys, ["theorems", "--pmax", "3", "--gmax", "8", "--ddmax", "6"])
+    assert code == 0 and len(reports) > 1
+    assert out.splitlines() == [_report_line(r) for r in reports]
+    blob = json.loads(out.splitlines()[0])
+    assert (blob["checks"], blob["confirmed"]) == (9, 6)
+    assert [(e["n"], e["h"]["kind"]) for e in blob["stronger"]] == [(-1, "range"), (-3, "lower"), (-2, "lower")]
+    assert f"unresolved: {3 * len(reports)}" in err
+
+
 def test_section_ring_slice(capsys):
     code, out, _ = run_cli(capsys, ["section-ring", *PS1_FLAGS, "--nmin", "-3", "--nmax", "8"])
     assert code == 0

@@ -176,6 +176,30 @@ def test_serre_duality_on_smooth_tuples(sweep_acceptance):
     assert misses == [], (len(misses), misses[:5])
 
 
+def test_serre_duality_on_twisted_families(sweep_acceptance):
+    # Independent route for criterion 09's cells: on a Tango tuple,
+    # h^i(Z_{a,b}^-1) = h^(2-i)(K_X (x) Z_{a,b}) and K_X (x) Z_{a,b} =
+    # Z_{a_K+a, b_K+b}^1.  The dual reads only m >= 0 rows of the
+    # direct-image table, the cell only m < 0 rows.
+    misses, cells = [], 0
+    for f in sweep_acceptance:
+        if not is_smooth(f):
+            continue
+        kx = canonical_X(f)
+        a_k, b_k = int(kx.cEt), int(kx.d) // f.dNl
+        for a in range(1, 6):
+            for b in range(1, f.ell):
+                sc, dual = surface_cert(f, -1, a, b), surface_cert(f, 1, a_k + a, b_k + b)
+                cells += 1
+                if sc.chi != dual.chi:
+                    misses.append((f, a, b, "chi"))
+                for i in range(3):
+                    if not _intervals_meet(sc.h(i), dual.h(2 - i)):
+                        misses.append((f, a, b, i))
+    assert cells == 305
+    assert misses == [], (len(misses), misses[:5])
+
+
 def test_chi_example_ps1():
     sc = surface_cert(PS1, -1)
     assert sc.chi == 3
@@ -254,10 +278,11 @@ def _leray_reference(f, n, a, b):
 
 def test_integer_sums_match_the_cert_chain(sweep_small):
     # certify always bounds hi, so these sums never meet hi = None;
-    # test_cert_addition pins that path of cert_sum.
+    # test_cert_addition pins that path of cert_sum.  (1, ell-1) gives the
+    # Nl exponent b > 1 wherever ell >= 3.
     cells = 0
     for f in sweep_small:
-        for a, b in ((1, 1), (2, 1)):
+        for a, b in ((1, 1), (2, 1), (1, f.ell - 1)):
             for n in range(-30, 31):
                 *want, want_chi = _leray_reference(f, n, a, b)
                 sc = surface_cert(f, n, a, b)
@@ -266,7 +291,35 @@ def test_integer_sums_match_the_cert_chain(sweep_small):
                     assert sc.h(i) == h_surface(f, i, n, a, b) == want[i], (f, i, n, a, b)
                     assert type(sc.h(i)) is Cert
                     cells += 1
-    assert cells == len(sweep_small) * 2 * 61 * 3
+    assert cells == len(sweep_small) * 3 * 61 * 3
+
+
+def test_h_surface_certifies_only_what_it_reads(sweep_small, monkeypatch):
+    # Degree i reads the pi_* side (mtw >= 0) for i <= 1 and the R^1 pi_*
+    # side (mtw <= -2) for i >= 1; mtw = -1 has neither.  h_surface must
+    # certify exactly those sides, once each.
+    import raynaudsurf.surfcoh as surfcoh_mod
+
+    calls = 0
+    real = surfcoh_mod.certify
+
+    def counting(params, sheaf):
+        nonlocal calls
+        calls += 1
+        return real(params, sheaf)
+
+    monkeypatch.setattr(surfcoh_mod, "certify", counting)
+    reads = (lambda mtw: mtw >= 0, lambda mtw: mtw != -1, lambda mtw: mtw <= -2)
+    total = 0
+    for f in sweep_small:
+        for n in range(-30, 31):
+            mtws = [term.mtw for term in decompose_twist(f, n, n)]
+            for i in range(3):
+                calls = 0
+                h_surface(f, i, n)
+                assert calls == sum(map(reads[i], mtws)), (f, i, n)
+                total += calls
+    assert total > 0
 
 
 def test_leray_pairs_sum_to_the_degree():
