@@ -9,9 +9,7 @@ Exit codes: 0 ok, 1 internal error, 2 invalid input, 3 theorem contradiction.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import json
 import sys
 
 from . import __version__
@@ -62,7 +60,17 @@ def _check_window(nmin: int, nmax: int) -> None:
 
 
 def _dump(obj: dict | list) -> str:
+    import json  # only the commands that encode dicts load it
+
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _params_json(params: SurfaceParams) -> str:
+    """_dump(params.to_json()), written as text: five ints and a structure name."""
+    return (
+        f'{{"p":{params.p},"g":{params.g},"dD":{params.dD},"e":{params.e},"ell":{params.ell},'
+        f'"structure":"{params.structure.value}"}}'
+    )
 
 
 def _cert_fields(h: Cert) -> str:
@@ -175,7 +183,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # an error leaves stdout empty; a twist's terms are encoded once
         # and reused for each degree.
         out = sys.stdout
-        out.write(f'{{"params":{_dump(params.to_json())},"a":{args.a},"b":{args.b},"rows":[')
+        out.write(f'{{"params":{_params_json(params)},"a":{args.a},"b":{args.b},"rows":[')
         terms: dict[int, str] = {}
         for k, (i, n, sc) in enumerate(rows):
             if n not in terms:
@@ -184,6 +192,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
             out.write(f'{sep}{{"i":{i},"n":{n},"h":{{{_cert_fields(sc.h(i))}}},"chi":{sc.chi},"terms":{terms[n]}}}')
         out.write("]}\n")
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["i", "n", "kind", "lo", "hi", "chi"])
         for (i, n, sc) in rows:
@@ -200,6 +210,8 @@ def _cmd_families(args: argparse.Namespace) -> int:
     if args.pmax < 1 or args.gmax < 1 or args.ddmax < 1:
         raise SystemExit2("--pmax, --gmax, --ddmax must be positive")
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["p", "g", "dD", "e", "ell", "structure"])
     total = 0
@@ -241,8 +253,7 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
             # its dict encoder.
             entries = ",".join([_dump(e.to_json()) for e in stronger])
             out.write(
-                f'{{"params":{{"p":{f.p},"g":{f.g},"dD":{f.dD},"e":{f.e},"ell":{f.ell},'
-                f'"structure":"{f.structure.value}"}},"checks":{checks},'
+                f'{{"params":{_params_json(f)},"checks":{checks},'
                 f'"confirmed":{checks - unresolved},"stronger":[{entries}]}}\n'
             )
         else:
@@ -268,25 +279,12 @@ def _cmd_section_ring(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="raynaudsurf",
-        description="Exact cohomology certificates for polarized cyclic covers of ruled surfaces.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="check a parameter tuple, echo it normalized")
+def _surface_args(sp: argparse.ArgumentParser) -> None:
     _add_param_flags(sp)
     _add_format_flag(sp, ("json", "pretty"))
-    sp.set_defaults(func=_cmd_validate)
 
-    sp = sub.add_parser("invariants", help="numerical invariants of one surface")
-    _add_param_flags(sp)
-    _add_format_flag(sp, ("json", "pretty"))
-    sp.set_defaults(func=_cmd_invariants)
 
-    sp = sub.add_parser("table", help="certificate table for h^i(X, Z_{a,b}^n)")
+def _table_args(sp: argparse.ArgumentParser) -> None:
     _add_param_flags(sp)
     sp.add_argument("--i", default="0,1,2", help="comma list of cohomology degrees")
     sp.add_argument("--nmin", type=int, required=True)
@@ -294,36 +292,73 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=1, help="Etilde exponent of the polarization")
     sp.add_argument("--b", type=int, default=1, help="Nl exponent of the polarization")
     _add_format_flag(sp)
-    sp.set_defaults(func=_cmd_table)
 
-    sp = sub.add_parser("families", help="stream all valid tuples within bounds")
+
+def _families_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--pmax", type=int, required=True)
     sp.add_argument("--gmax", type=int, required=True)
     sp.add_argument("--ddmax", type=int, required=True)
     _add_format_flag(sp)
-    sp.set_defaults(func=_cmd_families)
 
-    sp = sub.add_parser("theorems", help="cross-check the closed-form theorems over a sweep")
+
+def _theorems_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--pmax", type=int, default=7)
     sp.add_argument("--gmax", type=int, default=20)
     sp.add_argument("--ddmax", type=int, default=20)
     sp.add_argument("--nmin", type=int, default=-40, help="lower end of the negative window")
     _add_format_flag(sp, ("json", "pretty"))
-    sp.set_defaults(func=_cmd_theorems)
 
-    sp = sub.add_parser("section-ring", help="graded local cohomology of the section ring")
+
+def _section_ring_args(sp: argparse.ArgumentParser) -> None:
     _add_param_flags(sp)
     sp.add_argument("--nmin", type=int, required=True)
     sp.add_argument("--nmax", type=int, required=True)
     _add_format_flag(sp, ("json", "pretty"))
-    sp.set_defaults(func=_cmd_section_ring)
 
+
+# name -> (help line, argument filler, handler), in the order --help lists them.
+_SUBCOMMANDS = {
+    "validate": ("check a parameter tuple, echo it normalized", _surface_args, _cmd_validate),
+    "invariants": ("numerical invariants of one surface", _surface_args, _cmd_invariants),
+    "table": ("certificate table for h^i(X, Z_{a,b}^n)", _table_args, _cmd_table),
+    "families": ("stream all valid tuples within bounds", _families_args, _cmd_families),
+    "theorems": ("cross-check the closed-form theorems over a sweep", _theorems_args, _cmd_theorems),
+    "section-ring": ("graded local cohomology of the section ring", _section_ring_args, _cmd_section_ring),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with arguments filled into the subcommand `command` alone.
+
+    Every subcommand is registered, because the top-level help, the usage
+    line and the invalid-choice error list them all; only the one that
+    parses argv needs its arguments, and its own help and errors are then
+    those of a parser that fills all six.  None, or a name that is no
+    subcommand, fills none.
+    """
+    parser = argparse.ArgumentParser(
+        prog="raynaudsurf",
+        description="Exact cohomology certificates for polarized cyclic covers of ruled surfaces.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args, func) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_args(sp)
+            sp.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser has no option that takes a value, so argparse
+    # reads the first word without a leading "-" as the subcommand: any
+    # word before it is an option, or makes argparse stop at an invalid
+    # choice, whose error names no subcommand's arguments.
+    command = next((word for word in argv if not word.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except SystemExit2 as err:

@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .curvecoh import ZERO_CERT, Cert, CohCert, TwistedSym, cert_sum, certify, line_bundle_h0_bounds
-from .numclass import ClassX, polarization_class
+from .numclass import polarization_class
 from .params import SurfaceParams
 
 __all__ = [
@@ -405,10 +405,13 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     # Ampleness sanity: no sections in negative degrees.
     claims.append(proven("h0_zero_negative", range(nneg_min, 0)))
 
-    # The polarization is numerically Etilde plus the pullback of deg D / ell.
-    want = ClassX(1, params.dNl)
-    if polarization_class(params) != want:
-        raise TheoremContradicted(f"polarization class {polarization_class(params)} != {want}")
+    # The polarization is numerically Etilde plus the pullback of deg D / ell,
+    # checked as the cover relation ell*Z = psi^*(E + dD*f) with psi^*E =
+    # ell*Etilde: Z's Etilde coefficient is 1 and ell*d = dD, on integers.
+    z = polarization_class(params)
+    d = z.d
+    if z.cEt != 1 or params.ell * d.numerator != params.dD * d.denominator:
+        raise TheoremContradicted(f"polarization class {z} breaks ell*Z = psi^*(E + dD*f)")
     claims.append(ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed"))
 
     return ThmReport(params, tuple(claims))

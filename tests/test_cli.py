@@ -354,6 +354,65 @@ def test_missing_subcommand_exits_2():
     assert err.value.code == 2
 
 
+# Each CLI call fills the arguments of the invoked subcommand alone; its help
+# and every argparse error must read as from a parser that fills all six.
+PARSER_CASES = {
+    "--help": ["--help"],
+    "--help table": ["--help", "table"],
+    **{f"{cmd} --help": [cmd, "--help"]
+       for cmd in ("validate", "invariants", "table", "families", "theorems", "section-ring")},
+    "--version": ["--version"],
+    "no arguments": [],
+    "unknown subcommand": ["bogus"],
+    "-x table": ["-x", "table"],
+    "validate no --ell": ["validate", *PS1_FLAGS[:-3], "--tango"],
+    "invariants no structure": ["invariants", *PS1_FLAGS[:-1]],
+    "table no --nmax": ["table", *PS1_FLAGS, "--nmin", "-1"],
+    "table bad --format": ["table", *PS1_FLAGS, "--nmin", "-1", "--nmax", "1", "--format", "xml"],
+    "families no --ddmax": ["families", "--pmax", "3", "--gmax", "4"],
+    "theorems --pmax no value": ["theorems", "--pmax"],
+    "section-ring no --nmin": ["section-ring", *PS1_FLAGS, "--nmax", "1"],
+}
+
+# md5 of "<exit code>\n<stdout>\n<stderr>" per case at COLUMNS=80, taken
+# from the parser that filled every subcommand.
+PARSER_MD5 = {
+    "--help": "7b92fc82c7aae48204a0ed0ee28db4e1",
+    "--help table": "7b92fc82c7aae48204a0ed0ee28db4e1",
+    "validate --help": "7c37285744e4e1f9c0de519e0b4939cb",
+    "invariants --help": "c480e4e3998f7468940a9d2dfe730a09",
+    "table --help": "1e17f439daea4a82ccd322ad4eef7728",
+    "families --help": "8becfe57d4685a305c3399446a17fbed",
+    "theorems --help": "42c084083e75bffd523a27ac17d7b174",
+    "section-ring --help": "3cdb538ccef01b71eac5b7a36c3dabce",
+    "--version": "db0488ac3e62862db5fbe4e327f57a78",
+    "no arguments": "9bb0497784cc0c9985d7b06b6673f1bc",
+    "unknown subcommand": "2f1d6793d304ee395123cc92731b6cad",
+    "-x table": "3b403c58a561c8c940a96356ad413cfc",
+    "validate no --ell": "dbfca914aa5f866db0e6591d3c73fd9a",
+    "invariants no structure": "fe20a371afb54c4ad045d0258e1eb3b6",
+    "table no --nmax": "846d3c016c44c79714721ae73ae50fed",
+    "table bad --format": "0ebb2425557c6a6caa60761a67847a5e",
+    "families no --ddmax": "9217a46903132ae9cd49df0221733046",
+    "theorems --pmax no value": "522c747dc96facc4de450436819c5294",
+    "section-ring no --nmin": "3ef36e3e635213caec624883f6fc6d66",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout differs between Python minor versions")
+def test_help_and_parse_errors_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {}
+    for label, argv in PARSER_CASES.items():
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        captured = capsys.readouterr()
+        got[label] = hashlib.md5(f"{code}\n{captured.out}\n{captured.err}".encode()).hexdigest()
+    assert got == PARSER_MD5
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports the package from this checkout's src/."""
     repo = Path(__file__).resolve().parent.parent
@@ -493,6 +552,41 @@ def test_cold_import_skips_dataclasses_and_inspect():
     proc = run_python("-S", "-c", "import sys, raynaudsurf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Which of json and csv one cold call loads: only the formats that write
+# through them do.  Engine modules are never lazy: perfbench looks them up in
+# sys.modules right after `import raynaudsurf.cli`.
+STDLIB_CODEC_CASES = {
+    "table json": (["table", *PS1_FLAGS, "--nmin", "-2", "--nmax", "2"], 0, ""),
+    "theorems 2 tuples": (["theorems", "--pmax", "2", "--gmax", "4", "--ddmax", "3"], 0, ""),
+    "version": (["--version"], 0, ""),
+    "table csv": (["table", *PS1_FLAGS, "--nmin", "-2", "--nmax", "2", "--format", "csv"], 0, "csv"),
+    "invariants json": (["invariants", *PS3_FLAGS], 0, "json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDLIB_CODEC_CASES))
+def test_json_and_csv_load_only_where_output_needs_them(case):
+    argv, code, loaded = STDLIB_CODEC_CASES[case]
+    # -S: without site, nothing but the package can load json or csv.
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import raynaudsurf.cli",
+        "engine = ('params', 'numclass', 'curvecoh', 'surfcoh', 'sectionring')",
+        "print(*[m for m in engine if f'raynaudsurf.{m}' not in sys.modules], sep=',')",
+        "out = io.StringIO()",
+        "with contextlib.redirect_stdout(out):",
+        "    try:",
+        f"        code = raynaudsurf.cli.main({argv!r})",
+        "    except SystemExit as exit:",
+        "        code = exit.code",
+        "print(code, len(out.getvalue()) > 0)",
+        "print(*sorted({'json', 'csv'} & set(sys.modules)), sep=',')",
+    ])
+    proc = run_python("-S", "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["", f"{code} True", loaded, ""]
 
 
 # ------------------------------------------------------------- golden stdout

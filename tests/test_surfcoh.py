@@ -532,6 +532,22 @@ def test_theorem_predicates_clean_on_reference_tuples():
         assert "polarization_is_etilde_plus_root" in names
 
 
+@pytest.mark.parametrize("wrong", ["fiber degree", "Etilde coefficient"])
+def test_polarization_check_rejects_a_wrong_class(monkeypatch, wrong):
+    # polarization_is_etilde_plus_root checks the cover relation
+    # ell*Z = psi^*(E + dD*f), not Z against a copy of its own expression.
+    import raynaudsurf.surfcoh as surfcoh_mod
+    from raynaudsurf.surfcoh import TheoremContradicted
+
+    def off(params, a=1, b=1):
+        return ClassX(1, params.dNl + 1) if wrong == "fiber degree" else ClassX(2, params.dNl)
+
+    monkeypatch.setattr(surfcoh_mod, "polarization_class", off)
+    for params in (PS1, PS4):
+        with pytest.raises(TheoremContradicted, match="polarization class"):
+            theorem_predicates(params)
+
+
 def test_theorem_predicates_report_json():
     report = theorem_predicates(PS1)
     blob = report.to_json()
