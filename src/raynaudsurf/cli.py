@@ -59,6 +59,39 @@ def _check_window(nmin: int, nmax: int) -> None:
         raise SystemExit2(f"|n| is capped at {NMAX}; requested window [{nmin}, {nmax}]")
 
 
+BLOCK = 65536  # characters handed to the real stdout per write()
+
+
+class _Blocks:
+    """sys.stdout while a command runs: its text goes to `target` in blocks.
+
+    Where stdout writes through (PYTHONUNBUFFERED=1 or python -u), each
+    line a command writes would be one write(2).  The pending text is
+    handed on as one target.write() once it reaches BLOCK characters, and
+    the rest when flush() is called, so memory stays within one block and
+    a long sweep still shows progress.  The target sees the same text in
+    fewer, larger pieces: its own buffering, and so its flushing, is left
+    as it was.
+    """
+
+    def __init__(self, target) -> None:
+        self.target = target
+        self.parts: list[str] = []
+        self.size = 0
+
+    def write(self, text: str) -> None:
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size >= BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.parts:
+            self.target.write("".join(self.parts))
+            self.parts.clear()
+            self.size = 0
+
+
 def _dump(obj: dict | list) -> str:
     import json  # only the commands that encode dicts load it
 
@@ -226,6 +259,7 @@ def _cmd_families(args: argparse.Namespace) -> int:
                 f"p={f.p} g={f.g} dD={f.dD} e={f.e} ell={f.ell} {f.structure.value}"
                 f"  (dN={f.dN}, dNl={f.dNl})"
             )
+    sys.stdout.flush()  # the tuples come before the summary on a shared stream
     print(f"total: {total}", file=sys.stderr)
     return 0
 
@@ -262,6 +296,7 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
                 f"{checks} checks, {unresolved} unresolved\n"
             )
         total += unresolved
+    out.flush()  # the tuples come before the summary on a shared stream
     print(f"tuples: {tuples}, unresolved: {total}", file=sys.stderr)
     return 0
 
@@ -359,8 +394,16 @@ def main(argv: list[str] | None = None) -> int:
     # choice, whose error names no subcommand's arguments.
     command = next((word for word in argv if not word.startswith("-")), None)
     args = build_parser(command).parse_args(argv)
+    # The command writes to a _Blocks sink; whatever it holds reaches the
+    # real stdout before an error below is written to stderr.
+    stdout = sys.stdout
+    sys.stdout = sink = _Blocks(stdout)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout = stdout
+            sink.flush()
     except SystemExit2 as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import gc
 import hashlib
@@ -664,6 +665,98 @@ GOLDEN_MD5 = {
 def test_golden_stdout_md5(capsys):
     got = {label: stdout_md5(capsys, argv) for label, argv in golden_commands().items()}
     assert got == GOLDEN_MD5
+
+
+# ------------------------------------------------------------ output blocks
+
+
+class CountingOut(io.StringIO):
+    """A stdout that counts the write() calls it receives."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+BLOCK_CASES = {
+    "theorems 2083": ["theorems", "--pmax", "13", "--gmax", "40", "--ddmax", "40"],
+    **{f"table ell=24 {fmt}": ["table", *ELL24_FLAGS, "--nmin", "-100", "--nmax", "100", "--format", fmt]
+       for fmt in ("json", "csv", "pretty")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_stdout_is_written_in_blocks(case):
+    # One write() per 65536 characters and one for the rest, not one per
+    # line, which would make 2083 for the sweep and 605, 604 and 1208 for
+    # the three tables.
+    out = CountingOut()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(BLOCK_CASES[case]) == 0
+        assert sys.stdout is out  # main() puts back the stdout it found
+    assert 0 < out.writes <= -(-len(out.getvalue()) // 65536) + 1, (out.writes, len(out.getvalue()))
+
+
+def run_shared(argv):
+    """(exit code, text) of main(argv) with stdout and stderr on one stream."""
+    shared = io.StringIO()
+    with contextlib.redirect_stdout(shared), contextlib.redirect_stderr(shared):
+        code = main(argv)
+    return code, shared.getvalue()
+
+
+def test_contradiction_mid_sweep_keeps_the_lines_before_it(monkeypatch):
+    # The lines written before the error reach stdout, in full, before the
+    # error reaches stderr.
+    import raynaudsurf.cli as cli_mod
+    from raynaudsurf import enumerate_families, theorem_predicates
+    from raynaudsurf.surfcoh import TheoremContradicted
+
+    calls = []
+
+    def fifth_fails(params, nneg_min=-40):
+        calls.append(params)
+        if len(calls) == 5:
+            raise TheoremContradicted("forced on the fifth tuple")
+        return theorem_predicates(params, nneg_min=nneg_min)
+
+    monkeypatch.setattr(cli_mod, "theorem_predicates", fifth_fails)
+    lines = "".join(_report_line(theorem_predicates(f)) + "\n" for f in list(enumerate_families(7, 20, 20))[:4])
+    error = "theorem contradicted: forced on the fifth tuple\n"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["theorems"])
+    assert (code, out.getvalue(), err.getvalue()) == (3, lines, error)
+    calls.clear()
+    assert run_shared(["theorems"]) == (3, lines + error)
+
+
+@pytest.mark.parametrize("argv", [
+    ["families", "--pmax", "3", "--gmax", "6", "--ddmax", "4"],
+    ["theorems", "--pmax", "3", "--gmax", "6", "--ddmax", "4"],
+], ids=["families", "theorems"])
+def test_summary_line_follows_the_output(argv):
+    code, text = run_shared(argv)
+    *rows, summary = text.splitlines()
+    assert code == 0 and rows
+    assert summary.startswith("total: " if argv[0] == "families" else "tuples: ")
+    assert all(row.startswith("{") for row in rows)
+
+
+@pytest.mark.parametrize("label", ["theorems", "table PS1 csv"])
+def test_buffering_mode_never_changes_bytes(label):
+    argv = golden_commands()[label]
+    digests = set()
+    for unbuffered in (True, False):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-m", "raynaudsurf", *argv], capture_output=True, text=True, env=env)
+        digests.add(hashlib.md5(f"{proc.returncode}\n{proc.stdout}".encode()).hexdigest())
+    assert digests == {GOLDEN_MD5[label]}
 
 
 # ------------------------------------------------------------ bounded work

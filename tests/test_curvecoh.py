@@ -8,6 +8,7 @@ from raynaudsurf import (
     Cert,
     CohCert,
     RuleConflict,
+    Structure,
     TwistedSym,
     cert_sum,
     certify,
@@ -327,3 +328,60 @@ def test_certify_bounded_work_at_huge_m():
     cc = certify(PS1, TwistedSym(True, m, 3 * k))
     assert cc.h0 == Cert(0, (k + 1) + 3 * k * (k + 1) // 2)
     assert cc.chi == -3 * m * (m + 1) // 2 + (m + 1) * 3 * k - 3 * (m + 1)
+
+
+# ------------------------------------------------ explicit Tango curves (oracle)
+
+
+def artin_schreier_m(params):
+    """The m for which y^p - y = x^m realises `params` as a Tango curve, or None.
+
+    The curve has genus (p-1)(m-1)/2 when p does not divide m, and x is a
+    local parameter at every affine point, so (dx) = (2g-2)inf.  When
+    p | 2g-2 that is Tango with D = ((2g-2)/p)inf, and Nl = O(dNl*inf) is
+    an ell-th root of O(D) for every ell | dD; the oracle takes e = ell.
+    """
+    p, g = params.p, params.g
+    if params.structure is not Structure.TANGO or (2 * g) % (p - 1):
+        return None
+    m = 2 * g // (p - 1) + 1
+    if m % p == 0 or p * params.dD != 2 * g - 2 or params.e != params.ell:
+        return None
+    return m
+
+
+def semigroup_h0(p, m, k):
+    """h^0(O(k*inf)) on y^p - y = x^m: #{s in <p, m> : s <= k}, 0 for k < 0.
+
+    <p, m> is the Weierstrass semigroup at inf, with x of pole order p and
+    y of pole order m, so the count is exact.  This is a true value on one
+    curve: a certificate holds for every curve that realises its tuple, so
+    the oracle may refute a certificate but must never narrow one.
+    """
+    return sum(1 for s in range(k + 1) if any((s - j * m) % p == 0 for j in range(s // m + 1)))
+
+
+def test_explicit_tango_curves_contain_every_line_bundle_certificate(sweep_acceptance):
+    curves = [(f, m) for f in sweep_acceptance if (m := artin_schreier_m(f)) is not None]
+    assert len(curves) == 21
+    assert {(2, 4, 3, 3), (3, 4, 2, 2), (5, 6, 2, 2), (5, 16, 6, 3), (7, 15, 4, 4)} <= {
+        (f.p, f.g, f.dD, f.ell) for f, _ in curves
+    }
+    sheaves, exact, violations = 0, 0, []
+    for params, m in curves:
+        p, g, dNl = params.p, params.g, params.dNl
+        # <p, m> has g gaps, so the count is Riemann-Roch past 2g-2.
+        assert semigroup_h0(p, m, 2 * g - 1) == g
+        for t in range(-3, (2 * g - 2) // dNl + 4):
+            h0 = semigroup_h0(p, m, t * dNl)
+            h1 = h0 - (t * dNl + 1 - g)
+            for dualized in (False, True):
+                cc = certify(params, TwistedSym(dualized, 0, t))
+                sheaves += 1
+                exact += cc.h0.is_exact
+                inside = [c.lo <= h <= (h if c.hi is None else c.hi) for c, h in ((cc.h0, h0), (cc.h1, h1))]
+                if not all(inside):
+                    violations.append((params, t, dualized, cc.h0, h0, cc.h1, h1))
+    assert violations == []
+    # 294 of the 724 were Exact when the oracle landed; sharper rules may add more.
+    assert sheaves == 724 and exact >= 294
