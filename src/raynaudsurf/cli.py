@@ -210,12 +210,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n in range(args.nmin, args.nmax + 1):
             sc = surface_cert(params, n, args.a, args.b)
             rows.append((i, n, sc))
+    out = sys.stdout
     if args.format == "json":
         # Streamed, with the bytes of one json.dumps of the whole object,
         # written as text (_term_json).  Every twist is certified above, so
         # an error leaves stdout empty; a twist's terms are encoded once
         # and reused for each degree.
-        out = sys.stdout
         out.write(f'{{"params":{_params_json(params)},"a":{args.a},"b":{args.b},"rows":[')
         terms: dict[int, str] = {}
         for k, (i, n, sc) in enumerate(rows):
@@ -225,13 +225,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
             out.write(f'{sep}{{"i":{i},"n":{n},"h":{{{_cert_fields(sc.h(i))}}},"chi":{sc.chi},"terms":{terms[n]}}}')
         out.write("]}\n")
     elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["i", "n", "kind", "lo", "hi", "chi"])
+        # Ints and a Cert kind: no field ever needs quoting.
+        out.write("i,n,kind,lo,hi,chi\n")
         for (i, n, sc) in rows:
             c = sc.h(i)
-            writer.writerow([i, n, c.kind, c.lo, "" if c.hi is None else c.hi, sc.chi])
+            out.write(f"{i},{n},{c.kind},{c.lo},{'' if c.hi is None else c.hi},{sc.chi}\n")
     else:
         print(f"h^i(X, Z_{{{args.a},{args.b}}}^n) for {params.to_json()}")
         for (i, n, sc) in rows:
@@ -242,24 +240,23 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_families(args: argparse.Namespace) -> int:
     if args.pmax < 1 or args.gmax < 1 or args.ddmax < 1:
         raise SystemExit2("--pmax, --gmax, --ddmax must be positive")
+    # Ints and a structure name: no CSV field ever needs quoting.
+    out = sys.stdout
     if args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["p", "g", "dD", "e", "ell", "structure"])
+        out.write("p,g,dD,e,ell,structure\n")
     total = 0
     for f in enumerate_families(args.pmax, args.gmax, args.ddmax):
         total += 1
         if args.format == "json":
-            print(_dump(f.to_json()))
+            out.write(f"{_params_json(f)}\n")
         elif args.format == "csv":
-            writer.writerow([f.p, f.g, f.dD, f.e, f.ell, f.structure.value])
+            out.write(f"{f.p},{f.g},{f.dD},{f.e},{f.ell},{f.structure.value}\n")
         else:
             print(
                 f"p={f.p} g={f.g} dD={f.dD} e={f.e} ell={f.ell} {f.structure.value}"
                 f"  (dN={f.dN}, dNl={f.dNl})"
             )
-    sys.stdout.flush()  # the tuples come before the summary on a shared stream
+    out.flush()  # the tuples come before the summary on a shared stream
     print(f"total: {total}", file=sys.stderr)
     return 0
 

@@ -15,10 +15,13 @@ for the window commands, h_surface certifies only the sides one degree
 reads, and below them no sheaf recurred on the benchmark workloads.
 
 In the middle degree range the true dimensions depend on the extension class
-of E, which degree data cannot see, so certificates there are intervals:
-Exact(k), LowerBound(k) or Range(lo, hi), always paired with the exact Euler
-characteristic chi = deg + rank*(1-g).  Rules may only tighten; two rules
-producing an empty interval is an implementation bug and raises RuleConflict.
+of E, which degree data cannot see, so certificates there are intervals,
+always paired with the exact Euler characteristic chi = deg + rank*(1-g).
+Every curve certificate is Exact(k) or Range(lo, hi): certify always proves
+a finite upper bound (the argument is in its docstring).  A LowerBound(k)
+comes only from the constructive witness of surfcoh.zab_nonvanishing.
+Rules may only tighten; two rules producing an empty interval is an
+implementation bug and raises RuleConflict.
 """
 
 from __future__ import annotations
@@ -124,18 +127,8 @@ ZERO_CERT = Cert.exact(0)
 
 
 def cert_sum(certs: Iterable[Cert]) -> Cert:
-    """Interval sum over a direct sum of sheaves, ZERO_CERT when empty.
-
-    The ends are summed as ints and one Cert is built at the end, not one
-    per summand; hi is None once any summand's is.  The result equals the
-    chain of Cert.__add__ from ZERO_CERT.
-    """
-    lo = hi = 0
-    for c in certs:
-        lo += c.lo
-        if hi is not None:
-            hi = None if c.hi is None else hi + c.hi
-    return Cert(lo, hi)
+    """Interval sum over a direct sum of sheaves: the Cert.__add__ chain from ZERO_CERT."""
+    return sum(certs, ZERO_CERT)
 
 
 class TwistedSym(NamedTuple):
@@ -202,12 +195,13 @@ class CohCert(NamedTuple):
 
 
 def _transport_h1(h0: Cert, chi_value: int) -> Cert:
-    # h1 = h0 - chi on the nose, clamped at 0 from below.
+    # h1 = h0 - chi on the nose, clamped at 0 from below; h0.hi is an int
+    # (certify), so hi is one too.
     lo = h0.lo - chi_value
     if lo < 0:
         lo = 0
-    hi = None if h0.hi is None else h0.hi - chi_value
-    if hi is not None and hi < lo:
+    hi = h0.hi - chi_value
+    if hi < lo:
         raise RuleConflict(f"h1 transport emptied the interval: h0={h0}, chi={chi_value}")
     return Cert(lo, hi)
 
@@ -250,6 +244,16 @@ def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
     even, so chi = (m+1)(d_0 + d_m)/2 + (m+1)(1-g).  That is Riemann-Roch,
     chi(params, sheaf), because ell | dD makes ell*dNl = dD: the series
     is (m+1)*t*dNl +- (m(m+1)/2)*dD, which is degree(params, sheaf).
+
+    Both h^0 and h^1 always get a finite upper bound, so every CohCert is
+    Exact or Range and the surface sums may add the hi ends as ints:
+      - R0 gives Exact(0), and R1 takes hi from line_bundle_h0_bounds,
+        which returns an int on every branch;
+      - for m >= 1, R5 sets hi to an int series sum, and R2, R4 and the
+        nonspecial test only ever lower it (to 0, or to min(hi, chi));
+      - h^1 is Exact(0) when nonspecial, or _transport_h1(h0, chi), whose
+        hi is h0.hi - chi.
+    Only zab_nonvanishing's witness builds a LowerBound.
     """
     dualized, m, t = sheaf
     if m < 0:  # R0

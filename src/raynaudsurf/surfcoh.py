@@ -145,10 +145,10 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
 
     One pass over the terms certifies every present side once.  By LERAY,
     the curve h^j of side k (0 for pi_*, 1 for R^1 pi_*) feeds the surface
-    h^(k+j); the interval ends are summed as ints with cert_sum's rule
-    (hi is None once a summand's is), and chi is the signed sum of the
-    per-term Euler characteristics.  A query for one degree should use
-    h_surface, which certifies only the sides that degree reads.
+    h^(k+j); the interval ends are summed as ints (certify bounds every
+    hi), and chi is the signed sum of the per-term Euler characteristics.
+    A query for one degree should use h_surface, which certifies only the
+    sides that degree reads.
 
     The cache serves the window commands, `table` and `section-ring`.  It
     keeps the last 2*NMAX + 1 = 201 twists, one CLI window, and neither
@@ -157,7 +157,7 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     recurs after the other 2*NMAX.  So the bound drops no hit.
     """
     lo = [0, 0, 0]
-    hi: list[int | None] = [0, 0, 0]
+    hi = [0, 0, 0]
     total_chi = 0
     recs: list[TermReduction] = []
     for term in decompose_twist(params, a * n, b * n):
@@ -170,8 +170,7 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
             tchi += -cert.chi if k else cert.chi
             for i, h in ((k, cert.h0), (k + 1, cert.h1)):
                 lo[i] += h.lo
-                if hi[i] is not None:
-                    hi[i] = None if h.hi is None else hi[i] + h.hi
+                hi[i] += h.hi
         total_chi += tchi
         recs.append(TermReduction(term, certs[0], certs[1], tchi))
     h0, h1, h2 = map(Cert, lo, hi)
@@ -186,14 +185,13 @@ def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> 
     h^(i-1)(C, R^1 pi_* side) for i >= 1.  One pass over the terms reduces
     each with reduce_term and certifies only the present sides LERAY[i]
     reads, so h^0 at n < 0 and h^2 once every mtw >= -1 certify nothing.
-    The interval ends are summed as ints with cert_sum's rule (hi is None
-    once a summand's is) and one Cert is built at the end.  Nothing is
-    cached; the result equals surface_cert(params, n, a, b).h(i).
+    The interval ends are summed as ints (certify bounds every hi) and one
+    Cert is built at the end.  Nothing is cached; the result equals
+    surface_cert(params, n, a, b).h(i).
     """
     _check_degree(i)
     reads = LERAY[i]
-    lo = 0
-    hi: int | None = 0
+    lo = hi = 0
     for term in decompose_twist(params, a * n, b * n):
         sides = reduce_term(params, term)
         for k, j in reads:
@@ -203,8 +201,7 @@ def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> 
             cert = certify(params, sheaf)
             h_lo, h_hi = cert.h1 if j else cert.h0
             lo += h_lo
-            if hi is not None:
-                hi = None if h_hi is None else hi + h_hi
+            hi += h_hi
     return Cert(lo, hi)
 
 

@@ -562,7 +562,9 @@ STDLIB_CODEC_CASES = {
     "table json": (["table", *PS1_FLAGS, "--nmin", "-2", "--nmax", "2"], 0, ""),
     "theorems 2 tuples": (["theorems", "--pmax", "2", "--gmax", "4", "--ddmax", "3"], 0, ""),
     "version": (["--version"], 0, ""),
-    "table csv": (["table", *PS1_FLAGS, "--nmin", "-2", "--nmax", "2", "--format", "csv"], 0, "csv"),
+    "table csv": (["table", *PS1_FLAGS, "--nmin", "-2", "--nmax", "2", "--format", "csv"], 0, ""),
+    "families json": (["families", "--pmax", "2", "--gmax", "4", "--ddmax", "3"], 0, ""),
+    "families csv": (["families", "--pmax", "2", "--gmax", "4", "--ddmax", "3", "--format", "csv"], 0, ""),
     "invariants json": (["invariants", *PS3_FLAGS], 0, "json"),
 }
 
@@ -611,7 +613,8 @@ def golden_commands() -> dict[str, list[str]]:
     cmds["invariants PS3"] = ["invariants", *PS3_FLAGS]
     cmds["validate PS4"] = ["validate", *PS4_FLAGS]
     cmds["validate invalid"] = ["validate", "-p", "4", "-g", "4", "--dD", "2", "-e", "2", "--ell", "3", "--pretango"]
-    cmds["families csv"] = ["families", "--pmax", "7", "--gmax", "20", "--ddmax", "20", "--format", "csv"]
+    cmds["families json"] = ["families", "--pmax", "7", "--gmax", "20", "--ddmax", "20"]
+    cmds["families csv"] = [*cmds["families json"], "--format", "csv"]
     sweep2083 = ["theorems", "--pmax", "13", "--gmax", "40", "--ddmax", "40"]
     cmds["theorems 2083"] = sweep2083
     cmds["theorems 2083 pretty"] = [*sweep2083, "--format", "pretty"]
@@ -653,6 +656,7 @@ GOLDEN_MD5 = {
     "invariants PS3": "952c5891dcfc7b6656c712ef3e4fe784",
     "validate PS4": "236363f13fad6bc1ca041122a8521841",
     "validate invalid": "4e2ecb2d8ec2b9c845743088320211a5",
+    "families json": "4a994e0a9e358df7957384634fe8739d",
     "families csv": "b1a220d2db39f591de2288e976bf699b",
     "theorems 2083": "903bca58c0f67eee979b25dc066b697a",
     "theorems 2083 pretty": "92f8edcec0a6de21d137b2a7f901faea",

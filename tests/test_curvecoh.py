@@ -62,7 +62,7 @@ def test_cert_addition():
     assert Cert(0, 2) + Cert.exact(1) == Cert(1, 3)
     assert Cert.at_least(1) + Cert(0, 5) == Cert.at_least(1)
     assert cert_sum([]) == Cert.exact(0)
-    # Summed on ints, with the result of the Cert.__add__ chain.
+    # cert_sum is the Cert.__add__ chain: hi is None once a summand's is.
     parts = [Cert(0, 2), Cert.at_least(1), Cert.exact(3)]
     assert cert_sum(parts) == parts[0] + parts[1] + parts[2] == Cert.at_least(4)
     assert cert_sum(iter([Cert(1, 2), Cert(0, 5)])) == Cert(1, 7)

@@ -154,7 +154,13 @@ def test_is_ample_KX_matches_closed_form():
     fams = list(enumerate_families(13, 40, 40))
     assert fams
     for f in fams:
-        assert is_ample_KX(f) == ((f.p, f.ell) == (3, 4) or f.p >= 5), f
+        ample = is_ample_KX(f)
+        assert ample == ((f.p, f.ell) == (3, 4) or f.p >= 5), f
+        if ample:  # the degree tests imply the three Nakai-Moishezon products
+            kx = canonical_X(f)
+            assert intersect_X(f, kx, kx) > 0, f
+            assert intersect_X(f, kx, ETILDE) > 0, f
+            assert intersect_X(f, kx, FIBER_X) > 0, f
 
 
 def test_li_class_values():

@@ -277,9 +277,10 @@ def _leray_reference(f, n, a, b):
 
 
 def test_integer_sums_match_the_cert_chain(sweep_small):
-    # certify always bounds hi, so these sums never meet hi = None;
-    # test_cert_addition pins that path of cert_sum.  (1, ell-1) gives the
-    # Nl exponent b > 1 wherever ell >= 3.
+    # certify always bounds hi, so these sums never meet hi = None and every
+    # surface certificate is bounded; test_cert_addition pins the hi = None
+    # rule of Cert.__add__.  (1, ell-1) gives the Nl exponent b > 1 wherever
+    # ell >= 3.
     cells = 0
     for f in sweep_small:
         for a, b in ((1, 1), (2, 1), (1, f.ell - 1)):
@@ -290,6 +291,7 @@ def test_integer_sums_match_the_cert_chain(sweep_small):
                 for i in range(3):
                     assert sc.h(i) == h_surface(f, i, n, a, b) == want[i], (f, i, n, a, b)
                     assert type(sc.h(i)) is Cert
+                    assert sc.h(i).hi is not None
                     cells += 1
     assert cells == len(sweep_small) * 3 * 61 * 3
 
