@@ -4,16 +4,26 @@ Numerical classes on P live in the span of the canonical section E and a
 fiber f, with pairing E.E = dD, E.f = 1, f.f = 0.  On the degree-ell cyclic
 cover X only the span of the section Etilde and of pullbacks from the base
 curve is ever needed: Etilde.Etilde = dD/ell, Etilde meets a pulled-back
-degree-d class in d, and two pullbacks are disjoint.  All coefficients are
-exact rationals; by construction every denominator divides ell.
+degree-d class in d, and two pullbacks are disjoint.
+
+Every number computed here is an integer, because ell divides both dD and
+p+1: Etilde^2 = dD/ell is deg Nl, K_X's pulled-back degree is
+2g-2 - w*dD/ell = 2g-2 - w*deg Nl with w = p*ell-p-ell, and the
+coefficients of every L_i are integers (li_class).  So classes hold ints; a coefficient a caller passes
+in as a rational (a Fraction, or a string such as "1/2") is kept exact as
+a Fraction, and only then is fractions imported.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .params import SurfaceParams
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    RatLike = int | Fraction
 
 __all__ = [
     "ClassP",
@@ -39,20 +49,29 @@ __all__ = [
     "polarization_class",
 ]
 
-RatLike = int | Fraction
-
 
 def frac_str(x: RatLike) -> str:
-    """Canonical "num/den" form, gcd-reduced, positive denominator."""
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """Canonical "num/den" form, gcd-reduced, positive denominator.
+
+    An int is k/1; a Fraction is stored reduced with a positive denominator.
+    """
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _coeff(x: object) -> RatLike:
+    """An int as it is; any other rational input as an exact Fraction."""
+    if type(x) is int:
+        return x
+    from fractions import Fraction
+
+    return Fraction(x)
 
 
 # The fields alone: a NamedTuple class may not define __new__, so the
 # subclass below checks or coerces its input there.
 class _ClassPFields(NamedTuple):
-    cE: Fraction
-    cf: Fraction
+    cE: RatLike
+    cf: RatLike
 
 
 class ClassP(_ClassPFields):
@@ -61,7 +80,7 @@ class ClassP(_ClassPFields):
     __slots__ = ()
 
     def __new__(cls, cE: RatLike, cf: RatLike):
-        return tuple.__new__(cls, (Fraction(cE), Fraction(cf)))
+        return tuple.__new__(cls, (_coeff(cE), _coeff(cf)))
 
     @classmethod
     def _make(cls, iterable) -> "ClassP":
@@ -87,8 +106,8 @@ class ClassP(_ClassPFields):
 
 
 class _ClassXFields(NamedTuple):
-    cEt: Fraction
-    d: Fraction
+    cEt: RatLike
+    d: RatLike
 
 
 class ClassX(_ClassXFields):
@@ -97,7 +116,7 @@ class ClassX(_ClassXFields):
     __slots__ = ()
 
     def __new__(cls, cEt: RatLike, d: RatLike):
-        return tuple.__new__(cls, (Fraction(cEt), Fraction(d)))
+        return tuple.__new__(cls, (_coeff(cEt), _coeff(d)))
 
     @classmethod
     def _make(cls, iterable) -> "ClassX":
@@ -128,14 +147,14 @@ ETILDE = ClassX(1, 0)
 FIBER_X = ClassX(0, 1)
 
 
-def intersect_P(params: SurfaceParams, a: ClassP, b: ClassP) -> Fraction:
+def intersect_P(params: SurfaceParams, a: ClassP, b: ClassP) -> RatLike:
     """Bilinear symmetric pairing with E.E = dD, E.f = 1, f.f = 0."""
     return a.cE * b.cE * params.dD + a.cE * b.cf + a.cf * b.cE
 
 
-def intersect_X(params: SurfaceParams, a: ClassX, b: ClassX) -> Fraction:
-    """Pairing on the cover: Etilde^2 = dD/ell, section meets fiber degree."""
-    return a.cEt * b.cEt * Fraction(params.dD, params.ell) + a.cEt * b.d + a.d * b.cEt
+def intersect_X(params: SurfaceParams, a: ClassX, b: ClassX) -> RatLike:
+    """Pairing on the cover: Etilde^2 = dD/ell = dNl, section meets fiber degree."""
+    return a.cEt * b.cEt * params.dNl + a.cEt * b.d + a.d * b.cEt
 
 
 def canonical_P(params: SurfaceParams) -> ClassP:
@@ -153,15 +172,15 @@ def pullback_psi(params: SurfaceParams, a: ClassP) -> ClassX:
     return ClassX(params.ell * a.cE, a.cf)
 
 
-def selfint_Etilde(params: SurfaceParams) -> Fraction:
-    """Etilde^2 = dD/ell > 0."""
-    return Fraction(params.dD, params.ell)
+def selfint_Etilde(params: SurfaceParams) -> int:
+    """Etilde^2 = dD/ell = dNl > 0."""
+    return params.dNl
 
 
 def canonical_X(params: SurfaceParams) -> ClassX:
     """K_X = (p*ell-p-ell-1) Etilde + pullback of degree 2g-2 - (p*ell-p-ell)*dD/ell."""
     w = params.p * params.ell - params.p - params.ell
-    return ClassX(w - 1, 2 * params.g - 2 - Fraction(w * params.dD, params.ell))
+    return ClassX(w - 1, 2 * params.g - 2 - w * params.dNl)
 
 
 def is_ample_P(params: SurfaceParams, a: ClassP) -> bool:
@@ -204,18 +223,26 @@ def li_class(params: SurfaceParams, i: int) -> ClassP:
     """
     if not 0 <= i <= params.ell - 1:
         raise ValueError(f"i must lie in 0..ell-1, got {i}")
-    u = Fraction((params.p + 1) * (params.ell - 1 + i), params.ell) - 2
-    v = 2 * params.g - 2 - Fraction(
-        (params.p * params.ell - params.p - params.ell + params.p * i) * params.dD,
-        params.ell,
-    )
-    assert u.denominator == 1 and v.denominator == 1
-    return ClassP(u, v)
+    p, ell = params.p, params.ell
+    u, ru = divmod((p + 1) * (ell - 1 + i), ell)
+    dv, rv = divmod((p * ell - p - ell + p * i) * params.dD, ell)
+    assert ru == 0 and rv == 0
+    return ClassP(u - 2, 2 * params.g - 2 - dv)
 
 
 def kodaira_vanishing_KX(params: SurfaceParams) -> bool:
-    """H^1(X, K_X^{-1}) = 0, decided by ampleness of every L_i on P."""
-    return all(is_ample_P(params, li_class(params, i)) for i in range(params.ell))
+    """H^1(X, K_X^{-1}) = 0, decided by ampleness of every L_i on P.
+
+    L_i = u_i*E + v_i*f (li_class) is ample exactly when
+      L_i.f = u_i > 0,  L_i.E = u_i*dD + v_i > 0  and
+      L_i^2 = u_i*(u_i*dD + 2*v_i) > 0,
+    that is, when the three numbers u_i, u_i*dD + v_i and u_i*dD + 2*v_i
+    are positive (the last because u_i > 0).  u_i and v_i are affine in i,
+    so all three are too, and an affine function is positive on 0..ell-1
+    exactly when it is positive at i = 0 and at i = ell-1.  So the two end
+    classes decide all ell of them, in O(1).
+    """
+    return all(is_ample_P(params, li_class(params, i)) for i in (0, params.ell - 1))
 
 
 def fiber_genus(params: SurfaceParams) -> int:

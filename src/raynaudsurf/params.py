@@ -48,15 +48,44 @@ class InvalidParams(ValueError):
         self.violations = list(violations)
 
 
+# The first 13 primes, and the least n that is a strong pseudoprime to all
+# of them (Sorenson and Webster, Math. Comp. 86 (2017)): below it, Miller-Rabin
+# on these bases decides primality.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; inputs in this domain are tiny."""
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    """Deterministic primality for n < 3317044064679887385961981.
+
+    A lookup up to 41; then trial division by the 13 bases, which alone
+    decides n < 41^2; then Miller-Rabin to every base, which is proven
+    correct below the bound.  An n at or above the bound that no base
+    divides raises ValueError: the bound itself passes all 13 tests and is
+    composite.  check() states the bound as a cap on p instead.
+    """
+    if n <= 41:
+        return n in _MR_BASES
+    for b in _MR_BASES:
+        if b * b > n:
+            return True
+        if n % b == 0:
             return False
-        k += 1
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is proven only below {_MR_BOUND}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -84,7 +113,9 @@ def check(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> list[
         bad.append(
             f"ConstraintViolated(structure): {structure!r} is not 'tango' or 'pretango'"
         )
-    if not is_prime(p):
+    if p >= _MR_BOUND:
+        bad.append(f"ConstraintViolated(p < {_MR_BOUND}): p = {p}")
+    elif not is_prime(p):
         bad.append(f"NotPrime({p})")
     if g < 2:
         bad.append(f"ConstraintViolated(g >= 2): g = {g}")
@@ -184,16 +215,18 @@ def enumerate_families(max_p: int, max_g: int, max_dD: int) -> Iterator[SurfaceP
     """
     if max_p < 1 or max_g < 1 or max_dD < 1:
         raise ValueError("bounds must be positive")
-    for p in range(2, max_p + 1):
+    # dD >= e >= ell >= 2 bounds the loops by the output: p*dD <= 2g-2 gives
+    # p <= max_g - 1, ell <= max_dD, and g >= (p*e + 2)/2.
+    for p in range(2, min(max_p, max_g - 1) + 1):
         if not is_prime(p):
             continue
-        for ell in range(2, p + 2):
+        for ell in range(2, min(p + 1, max_dD) + 1):
             if (p + 1) % ell != 0:
                 continue
             for e in range(ell, max_dD + 1, ell):
                 if gcd(e, p) != 1:
                     continue
-                for g in range(2, max_g + 1):
+                for g in range(max(2, (p * e + 3) // 2), max_g + 1):
                     for dD in range(e, min(max_dD, (2 * g - 2) // p) + 1, e):
                         yield SurfaceParams(p, g, dD, e, ell, Structure.PRETANGO)
                         if p * dD == 2 * g - 2:

@@ -406,8 +406,7 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     # checked as the cover relation ell*Z = psi^*(E + dD*f) with psi^*E =
     # ell*Etilde: Z's Etilde coefficient is 1 and ell*d = dD, on integers.
     z = polarization_class(params)
-    d = z.d
-    if z.cEt != 1 or params.ell * d.numerator != params.dD * d.denominator:
+    if z.cEt != 1 or params.ell * z.d != params.dD:
         raise TheoremContradicted(f"polarization class {z} breaks ell*Z = psi^*(E + dD*f)")
     claims.append(ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed"))
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from raynaudsurf import SurfaceParams, Structure, enumerate_families
@@ -9,6 +12,27 @@ PS1 = SurfaceParams(2, 4, 3, 3, 3, Structure.TANGO)
 PS2 = SurfaceParams(3, 4, 2, 2, 2, Structure.TANGO)
 PS3 = SurfaceParams(3, 7, 4, 4, 4, Structure.TANGO)
 PS4 = SurfaceParams(5, 9, 3, 3, 3, Structure.PRETANGO)
+
+
+@contextmanager
+def time_limit(seconds: float = 2.0):
+    """Fail the enclosed block once it has run `seconds` of wall time.
+
+    A SIGALRM timer interrupts the block rather than waiting for it, so an
+    input whose cost grows without bound fails fast instead of hanging.
+    The bound is generous: the blocks it guards take milliseconds.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -548,16 +548,20 @@ def test_console_script_and_module_share_the_entry_point():
 
 def test_cold_import_skips_dataclasses_and_inspect():
     # Every CLI call is a cold start.  The records are NamedTuples, so the
-    # import needs neither dataclasses nor the inspect it pulls in.  -S keeps
-    # site-packages hooks from adding imports that are not the package's.
-    proc = run_python("-S", "-c", "import sys, raynaudsurf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # import needs neither dataclasses nor the inspect it pulls in; the
+    # intersection numbers are ints, so it needs neither fractions nor the
+    # decimal it pulls in.  -S keeps site-packages hooks from adding imports
+    # that are not the package's.
+    unused = "{'dataclasses', 'inspect', 'fractions', 'decimal'}"
+    proc = run_python("-S", "-c", f"import sys, raynaudsurf.cli; print(sorted({unused} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
 # Which of json and csv one cold call loads: only the formats that write
-# through them do.  Engine modules are never lazy: perfbench looks them up in
-# sys.modules right after `import raynaudsurf.cli`.
+# through them do.  No call loads fractions or decimal: every number the
+# package computes is an int.  Engine modules are never lazy: perfbench looks
+# them up in sys.modules right after `import raynaudsurf.cli`.
 STDLIB_CODEC_CASES = {
     "table json": (["table", *PS1_FLAGS, "--nmin", "-2", "--nmax", "2"], 0, ""),
     "theorems 2 tuples": (["theorems", "--pmax", "2", "--gmax", "4", "--ddmax", "3"], 0, ""),
@@ -586,10 +590,11 @@ def test_json_and_csv_load_only_where_output_needs_them(case):
         "        code = exit.code",
         "print(code, len(out.getvalue()) > 0)",
         "print(*sorted({'json', 'csv'} & set(sys.modules)), sep=',')",
+        "print(*sorted({'fractions', 'decimal'} & set(sys.modules)), sep=',')",
     ])
     proc = run_python("-S", "-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["", f"{code} True", loaded, ""]
+    assert proc.stdout.split("\n") == ["", f"{code} True", loaded, "", ""]
 
 
 # ------------------------------------------------------------- golden stdout
@@ -777,8 +782,25 @@ def test_table_huge_polarization_exponent(capsys):
     assert code == 0
     chi_n1 = {row["chi"] for row in json.loads(out)["rows"] if row["n"] == 1}
     z, kx = polarization_class(PS1, a, 1), canonical_X(PS1)
-    rr = surface_cert(PS1, 0).chi + (intersect_X(PS1, z, z) - intersect_X(PS1, z, kx)) / 2
-    assert chi_n1 == {rr}
+    # Z^2 - Z.K_X is even (adjunction); halve it on integers, never in float.
+    twice = intersect_X(PS1, z, z) - intersect_X(PS1, z, kx)
+    assert type(twice) is int and twice % 2 == 0
+    assert chi_n1 == {surface_cert(PS1, 0).chi + twice // 2}
+
+
+def test_invariants_at_large_ell_in_bounded_time(capsys):
+    # ell = e = dD = p + 1 = 1000004: the Kodaira check tests two of the
+    # ell classes L_i, not all of them.
+    from conftest import time_limit
+
+    p, ell = 1000003, 1000004
+    flags = ["-p", str(p), "-g", str(p * ell // 2 + 1), "--dD", str(ell), "-e", str(ell), "--ell", str(ell), "--tango"]
+    with time_limit():
+        code, out, _ = run_cli(capsys, ["invariants", *flags])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["Etilde_sq"] == "1/1" and blob["K_X_ample"] is True
+    assert blob["kodaira_vanishing_KX"] is True
 
 
 # ------------------------------------------------------------ public surface
@@ -892,5 +914,10 @@ def test_make_and_replace_check_like_the_constructor():
     with pytest.raises(InvalidParams):
         ps1._replace(p=4)
     assert Cert(1, 1)._replace(hi=None) == Cert.at_least(1)
-    assert type(ClassP._make([1, "1/2"]).cf) is Fraction
-    assert type(ClassX(0, 0)._replace(d=3).d) is Fraction
+    # Both coerce as the constructor does: a rational becomes a Fraction,
+    # an int stays an int.
+    half = ClassP._make([1, "1/2"])
+    assert type(half.cf) is Fraction and half.cf == Fraction(1, 2)
+    assert type(half.cE) is int
+    three = ClassX(0, Fraction(1, 2))._replace(d=3)
+    assert type(three.d) is int and three == ClassX(0, 3)

@@ -178,6 +178,17 @@ def test_kodaira_vanishing_KX():
             assert kodaira_vanishing_KX(f), f
 
 
+def test_kodaira_vanishing_KX_matches_the_loop_over_every_L_i():
+    # Oracle: ampleness of each of the ell classes L_i, one by one.  The
+    # function itself tests i = 0 and i = ell-1 only (its docstring's proof).
+    verdicts = []
+    for f in enumerate_families(47, 100, 96):
+        loop = all(is_ample_P(f, li_class(f, i)) for i in range(f.ell))
+        assert kodaira_vanishing_KX(f) == loop, f
+        verdicts.append(loop)
+    assert len(verdicts) == 21568 and verdicts.count(True) == 14075
+
+
 def test_fiber_genus_and_cusp():
     assert fiber_genus(PS1) == 1
     assert fiber_genus(PS3) == 3
@@ -204,9 +215,29 @@ def test_fraction_formatting():
 
 
 def test_class_coefficients_are_fractions():
+    # Exact either way: an int coefficient stays an int, and a rational one
+    # (a Fraction, or a string) becomes a reduced Fraction.
     p, x = ClassP(1, -2), ClassX(Fraction(6, 4), 0)
-    assert [type(c) for c in (p.cE, p.cf, x.cEt, x.d)] == [Fraction] * 4
-    assert (p.cE, x.cEt) == (Fraction(1), Fraction(3, 2))
+    assert [type(c) for c in (p.cE, p.cf, x.cEt, x.d)] == [int, int, Fraction, int]
+    assert (p.cE, p.cf, x.cEt, x.d) == (1, -2, Fraction(3, 2), 0)
+    q = ClassP("1/2", Fraction(4, 2))
+    assert [type(c) for c in q] == [Fraction, Fraction] and q == ClassP(Fraction(1, 2), 2)
+    # Arithmetic keeps ints int and turns exact on a rational operand.
+    assert [type(c) for c in p + 3 * p - ClassP(0, 1)] == [int, int]
+    half = Fraction(1, 2) * p
+    assert [type(c) for c in half] == [Fraction, Fraction] and half == ClassP(Fraction(1, 2), -1)
+
+
+def test_every_computed_number_is_an_int():
+    # ell | dD and ell | p+1 make every class and pairing the package
+    # computes integral, so no tuple ever needs a Fraction.
+    for f in enumerate_families(13, 40, 40):
+        classes = [canonical_X(f), polarization_class(f), polarization_class(f, 3, -2)]
+        classes += [li_class(f, i) for i in (0, f.ell - 1)] + [canonical_P(f), branch_curve_class(f)]
+        assert all(type(c) is int for cls in classes for c in cls), f
+        assert type(selfint_Etilde(f)) is int
+        kx = canonical_X(f)
+        assert type(intersect_X(f, kx, kx)) is int and type(intersect_P(f, li_class(f, 0), E_P)) is int
 
 
 def test_scalar_multiplication_from_either_side():

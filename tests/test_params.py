@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from math import gcd
 
 import pytest
@@ -18,7 +19,7 @@ from raynaudsurf import (
     validate,
 )
 
-from conftest import PS1, PS3, PS4
+from conftest import PS1, PS3, PS4, time_limit
 
 
 def test_validate_ps1():
@@ -82,6 +83,16 @@ def _brute_force_families(max_p: int, max_g: int, max_dD: int) -> list[SurfacePa
 
 def test_enumerate_families_matches_brute_force():
     assert list(enumerate_families(5, 10, 8)) == _brute_force_families(5, 10, 8)
+    # p above max_g - 1 and ell above max_dD: the loop bounds cut both off.
+    assert list(enumerate_families(11, 6, 4)) == _brute_force_families(11, 6, 4)
+
+
+def test_enumeration_time_is_bounded_by_the_output():
+    # p <= max_g - 1 and ell <= max_dD: a huge max_p adds no tuple and no time.
+    with time_limit():
+        fams = list(enumerate_families(20000, 40, 40))
+    assert len(fams) == 2215
+    assert fams == list(enumerate_families(40, 40, 40))
 
 
 def test_enumerate_families_examples():
@@ -142,3 +153,84 @@ def test_check_decides_construction(p, g, dD, e, ell, tango):
         assert f.e % f.ell == 0 and (f.p + 1) % f.ell == 0
         assert f.dD % f.e == 0 and f.dD % f.ell == 0
         assert f.p * f.dD <= 2 * f.g - 2
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int, b: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(b, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [n for n in range(-3, 10**5) if _trial_division(n)]
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    # (6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael
+    # number (Chernick): a Fermat liar to every base coprime to it.
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041]
+    for k in range(1, 3000):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(_trial_division(q) for q in factors):
+            carmichael.append(math.prod(factors))
+    assert len(carmichael) > 20 and max(carmichael) > 10**12
+    for n in carmichael:
+        assert not is_prime(n), n
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, with its
+# factors (k = 1..6, 8, 11, 12, 13); psi_13 is the bound of the proven range.
+STRONG_PSEUDOPRIMES = {
+    1: (23, 89),
+    2: (829, 1657),
+    3: (2251, 11251),
+    4: (151, 751, 28351),
+    5: (6763, 10627, 29947),
+    6: (1303, 16927, 157543),
+    8: (10670053, 32010157),
+    11: (149491, 747451, 34233211),
+    12: (399165290221, 798330580441),
+    13: (1287836182261, 2575672364521),
+}
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    for k, factors in STRONG_PSEUDOPRIMES.items():
+        n = math.prod(factors)
+        assert all(_strong_probable_prime(n, b) for b in MR_BASES[:k]), n
+        if k < 13:
+            with time_limit():
+                assert not is_prime(n), n
+    # psi_13 fools all 13 bases, so the proven range stops below it: is_prime
+    # refuses it, and check() caps p there instead of claiming a primality.
+    psi13 = math.prod(STRONG_PSEUDOPRIMES[13])
+    with pytest.raises(ValueError):
+        is_prime(psi13)
+    assert any(v.startswith(f"ConstraintViolated(p < {psi13})") for v in check(psi13, 2, 2, 2, 2, "pretango"))
+    assert any(v.startswith(f"ConstraintViolated(p < {psi13})") for v in check(2**89 - 1, 2, 2, 2, 2, "pretango"))
+
+
+def test_is_prime_on_large_numbers():
+    with time_limit():
+        for n in (2**31 - 1, 10**9 + 7, 2**61 - 1):  # primes
+            assert is_prime(n), n
+        for n in ((2**31 - 1) * (10**9 + 7), 193707721 * 761838257287, (2**61 - 1) * 3):
+            assert not is_prime(n), n
+    assert 193707721 * 761838257287 == 2**67 - 1
+
+
+def test_validate_large_tango_prime_in_bounded_time():
+    # The Tango tuple p = 2^61 - 1, ell = e = dD = 2, g = p + 1.
+    p = 2**61 - 1
+    with time_limit():
+        params = validate(p, p + 1, 2, 2, 2, "tango")
+    assert params.p == p and params.dNl == 1
