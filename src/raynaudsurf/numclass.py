@@ -241,6 +241,11 @@ def kodaira_vanishing_KX(params: SurfaceParams) -> bool:
     so all three are too, and an affine function is positive on 0..ell-1
     exactly when it is positive at i = 0 and at i = ell-1.  So the two end
     classes decide all ell of them, in O(1).
+
+    On every valid tuple this agrees with is_ample_KX (p*dD <= 2g-2 makes
+    the i = ell-1 conditions and L_0.E > 0 automatic, leaving u_0 > 0).
+    Both stay: this is the paper's route through the L_i, is_ample_KX the
+    closed classification, and invariants reports the two side by side.
     """
     return all(is_ample_P(params, li_class(params, i)) for i in (0, params.ell - 1))
 

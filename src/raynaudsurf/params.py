@@ -58,19 +58,13 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 def is_prime(n: int) -> bool:
     """Deterministic primality for n < 3317044064679887385961981.
 
-    A lookup up to 41; then trial division by the 13 bases, which alone
-    decides n < 41^2; then Miller-Rabin to every base, which is proven
-    correct below the bound.  An n at or above the bound that no base
-    divides raises ValueError: the bound itself passes all 13 tests and is
-    composite.  check() states the bound as a cap on p instead.
+    A lookup up to 41, then Miller-Rabin to every base, which is proven
+    correct below the bound.  An n at or above the bound raises ValueError:
+    the bound itself passes all 13 tests and is composite.  check() states
+    the bound as a cap on p instead.
     """
     if n <= 41:
         return n in _MR_BASES
-    for b in _MR_BASES:
-        if b * b > n:
-            return True
-        if n % b == 0:
-            return False
     if n >= _MR_BOUND:
         raise ValueError(f"primality is proven only below {_MR_BOUND}, got {n}")
     d, s = n - 1, 0

@@ -921,3 +921,5 @@ def test_make_and_replace_check_like_the_constructor():
     assert type(half.cE) is int
     three = ClassX(0, Fraction(1, 2))._replace(d=3)
     assert type(three.d) is int and three == ClassX(0, 3)
+    half_d = ClassX(0, 0)._replace(d="1/2")
+    assert type(half_d.d) is Fraction and half_d.d == Fraction(1, 2)
