@@ -9,19 +9,22 @@ h^0(S^m(E)^v (x) Nl^t) = 0 for m >= 1 and t < ell, and the unit-section
 inclusions O_C -> S^m(E) and O(-mD) -> S^m(E)^v enter the rules.  The
 quotient degrees form the arithmetic progression d_j = t*dNl + j*step,
 step = +-ell*dNl, so every rule reads them through the progression's
-endpoints and one arithmetic series: a certificate costs O(1) in m, and
-no certificate is kept once it is returned: surface_cert caches the sums
-for the window commands, h_surface certifies only the sides one degree
-reads, and below them no sheaf recurred on the benchmark workloads.
+endpoints and one arithmetic series: a certificate costs O(1) in m.
+The rules live in one private function on ints, _rule_bounds, which
+returns (chi, h^0 lo, h^0 hi, h^1 lo, h^1 hi); certify wraps its result
+in a CohCert.  surface_cert certifies each side of a window twist, and
+caches the sums; h_surface reads _rule_bounds directly, sums the ints and
+builds one Cert.  No certificate is kept once it is returned: no sheaf
+recurred on the benchmark workloads.
 
 In the middle degree range the true dimensions depend on the extension class
 of E, which degree data cannot see, so certificates there are intervals,
 always paired with the exact Euler characteristic chi = deg + rank*(1-g).
 Every curve certificate is Exact(k) or Range(lo, hi): certify always proves
-a finite upper bound (the argument is in its docstring).  A LowerBound(k)
-comes only from the constructive witness of surfcoh.zab_nonvanishing.
-Rules may only tighten; two rules producing an empty interval is an
-implementation bug and raises RuleConflict.
+a finite upper bound (the argument is in _rule_bounds's docstring).  A
+LowerBound(k) comes only from the constructive witness of
+surfcoh.zab_nonvanishing.  Rules may only tighten; two rules producing an
+empty interval is an implementation bug and raises RuleConflict.
 """
 
 from __future__ import annotations
@@ -195,8 +198,9 @@ class CohCert(NamedTuple):
 
 
 def _transport_h1(h0: Cert, chi_value: int) -> Cert:
-    # h1 = h0 - chi on the nose, clamped at 0 from below; h0.hi is an int
-    # (certify), so hi is one too.
+    # h1 = h0 - chi on the nose, clamped at 0 from below.  _rule_bounds
+    # applies the same rule to ints inline; this Cert form is the reference
+    # the tests rebuild certify from.
     lo = h0.lo - chi_value
     if lo < 0:
         lo = 0
@@ -222,13 +226,10 @@ def _clipped_series_sum(d0: int, step: int, m: int) -> int:
     return k * (first + last) // 2 + k
 
 
-# Stores nothing (0 hits in 60619 calls on the three perfbench workloads: 4505 sweep
-# + 56089 tables + 25 large_p); cache_info() still counts calls.
-@lru_cache(maxsize=0)
-def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
-    """Tightest certificate pair derivable from the degree-level rules.
+def _rule_bounds(params: SurfaceParams, dualized: bool, m: int, t: int) -> tuple[int, int, int, int, int]:
+    """(chi, h^0 lo, h^0 hi, h^1 lo, h^1 hi) of S^m(E)^(v) (x) Nl^t, on ints.
 
-    Rule set, in fixed priority order:
+    The rules of certify, in fixed priority order:
       R0 zero sheaf; R1 line-bundle exactness (m = 0); R2 sharp vanishing of
       dualized powers with t < ell; R3 unit-section lower bounds; R4 all
       filtration quotients negative; R5 quotient-sum upper bound; R6 chi
@@ -247,17 +248,30 @@ def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
 
     Both h^0 and h^1 always get a finite upper bound, so every CohCert is
     Exact or Range and the surface sums may add the hi ends as ints:
-      - R0 gives Exact(0), and R1 takes hi from line_bundle_h0_bounds,
+      - R0 gives (0, 0), and R1 takes hi from line_bundle_h0_bounds,
         which returns an int on every branch;
       - for m >= 1, R5 sets hi to an int series sum, and R2, R4 and the
         nonspecial test only ever lower it (to 0, or to min(hi, chi));
-      - h^1 is Exact(0) when nonspecial, or _transport_h1(h0, chi), whose
-        hi is h0.hi - chi.
+      - h^1 is (0, 0) when nonspecial, or the transport of h^0, whose hi
+        is h0.hi - chi.
     Only zab_nonvanishing's witness builds a LowerBound.
+
+    No Cert is returned, yet every bound returned is one a Cert accepts,
+    so callers may sum them as ints and validate once:
+      - lo >= 0 by construction: R0 gives 0; line_bundle_h0_bounds never
+        returns a negative lo (it is 0, 1, max(chi, 0) or, above 2g-2,
+        chi = deg + 1 - g > g - 1 >= 0), and it seeds R1; R6 starts from
+        max(chi, 0); R3 and the nonspecial upgrade only raise lo; and the
+        h^1 transport clamps its lo at 0;
+      - lo <= hi is checked for both degrees, as before: h^0 and the h^1
+        transport each raise RuleConflict on an empty interval (the
+        nonspecial (0, 0) needs no check).
+    A sum of such intervals is one too, so the single Cert that
+    surfcoh.h_surface builds from its sums checks no less than one Cert
+    per side did; certify builds the two per-sheaf Certs from these ends.
     """
-    dualized, m, t = sheaf
     if m < 0:  # R0
-        return CohCert(sheaf, 0, ZERO_CERT, ZERO_CERT)
+        return 0, 0, 0, 0, 0
     ell, g = params.ell, params.g
     dNl = params.dD // ell
     step = -ell * dNl if dualized else ell * dNl
@@ -288,6 +302,27 @@ def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
         if c < hi:
             hi = c
     if lo > hi:
-        raise RuleConflict(f"h0 rules conflict on {sheaf}: lo={lo} > hi={hi}")
-    h0 = Cert(lo, hi)
-    return CohCert(sheaf, c, h0, ZERO_CERT if nonspecial else _transport_h1(h0, c))
+        raise RuleConflict(f"h0 rules conflict on {TwistedSym(dualized, m, t)}: lo={lo} > hi={hi}")
+    if nonspecial:
+        return c, lo, hi, 0, 0
+    # h^1 = h^0 - chi on the nose, clamped at 0 from below.
+    lo1 = lo - c if lo > c else 0
+    hi1 = hi - c
+    if hi1 < lo1:
+        raise RuleConflict(f"h1 transport emptied the interval: h0={Cert(lo, hi)}, chi={c}")
+    return c, lo, hi, lo1, hi1
+
+
+# Stores nothing (0 hits in 56114 calls on the three perfbench workloads, seed
+# 1: 0 sweep, as h_surface reads _rule_bounds, + 56089 tables + 25 large_p);
+# cache_info() still counts calls.
+@lru_cache(maxsize=0)
+def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:
+    """Tightest certificate pair derivable from the degree-level rules.
+
+    The rules, their order and their soundness are _rule_bounds's; this
+    wraps its ints in the sheaf's CohCert, two validated Certs.
+    """
+    c, lo, hi, lo1, hi1 = _rule_bounds(params, *sheaf)
+    # hi == 0 forces lo == 0 (_rule_bounds), so ZERO_CERT stands for it.
+    return CohCert(sheaf, c, Cert(lo, hi) if hi else ZERO_CERT, Cert(lo1, hi1) if hi1 else ZERO_CERT)

@@ -19,11 +19,15 @@ R^1 pi_* O_P(m) = S^(-m-2)(E)^v (x) O(-D) for m <= -2 (zero for m >= -1),
 so every H^i(X, Z^n) is a direct sum of curve-level certificates and every
 Euler characteristic is an exact alternating sum over the same terms.
 
-The engine (decompose_twist + reduce_term + certify, summed by the Leray
-rule LERAY in surface_cert, or for one degree in h_surface) is the only
-copy of the direct-image table and of the reduction rule.  The one closed
-form left, h1neg_closed_form, writes out the n < 0 sum for h^1 on its own;
-acceptance criterion 07 compares it with the engine.  theorem_predicates
+The direct-image row and the reduction rule are written once each, as
+int helpers: _rows gives the (mtw, t) of every summand and _side the one
+curve sheaf (dualized, m, t) of a term, or None.  decompose_twist and
+reduce_term build their public records (PTerm, TwistedSym) from them.
+surface_cert reads them too, certifies each present side and sums by the
+Leray rule LERAY; h_surface, for one degree, and h1neg_closed_form, the
+n < 0 sum for h^1 (acceptance criterion 07 compares it with the engine),
+read them with the curve rules' int core _rule_bounds and build one Cert
+from the summed ints, with no record per summand.  theorem_predicates
 takes its vanishing claims from proofs on that same table (h^0 for n < 0,
 h^2 from p(p+1) on, h^1 below the window for p = 2, 3), stores each once
 as an n-range, and asks the engine only for the rest; ThmReport.entries
@@ -38,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .curvecoh import ZERO_CERT, Cert, CohCert, TwistedSym, cert_sum, certify, line_bundle_h0_bounds
+from .curvecoh import ZERO_CERT, Cert, CohCert, TwistedSym, _rule_bounds, certify, line_bundle_h0_bounds
 from .numclass import polarization_class
 from .params import SurfaceParams
 
@@ -96,24 +100,47 @@ def _mstep(params: SurfaceParams) -> int:
     return q
 
 
+def _rows(params: SurfaceParams, m: int, tw: int) -> list[tuple[int, int]]:
+    """(mtw, t) of each summand i = 0..ell-1 of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw.
+
+    The direct-image row of the module docstring, the only copy of it:
+    summand i is O_P([(m+i)/ell] - i(p+1)/ell) (x) pi^* Nl^(i*p + tw).
+    """
+    ell, p, q = params.ell, params.p, _mstep(params)
+    return [((m + i) // ell - i * q, i * p + tw) for i in range(ell)]
+
+
+def _side(ell: int, mtw: int, t: int) -> tuple[bool, int, int] | None:
+    """The reduction rule: (dualized, m, t) of the curve sheaf of O_P(mtw) (x) pi^* Nl^t.
+
+    Only mtw >= 0 has a pi_* side, S^mtw(E) (x) Nl^t, and only mtw <= -2
+    an R^1 pi_* side, S^(-mtw-2)(E)^v (x) Nl^(t-ell); mtw = -1 kills both
+    direct images (None).  So a term has at most one nonzero side, and
+    dualized is that side's index in LERAY: 0 for pi_*, 1 for R^1 pi_*.
+    """
+    if mtw >= 0:
+        return False, mtw, t
+    if mtw == -1:
+        return None
+    return True, -mtw - 2, t - ell
+
+
 def decompose_twist(params: SurfaceParams, m: int, tw: int) -> tuple[PTerm, ...]:
     """Terms of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw; Z^n is m = tw = n."""
-    ell, p, q = params.ell, params.p, _mstep(params)
-    return tuple([PTerm((m + i) // ell - i * q, i * p + tw) for i in range(ell)])
+    return tuple(map(PTerm._make, _rows(params, m, tw)))
 
 
 def reduce_term(params: SurfaceParams, term: PTerm) -> tuple[TwistedSym | None, TwistedSym | None]:
     """Curve-level sheaves (pi_* side, R^1 pi_* side) of term, None where zero.
 
-    LERAY says which side feeds which H^i(P, term).  Only mtw >= 0 has a
-    pi_* side and only mtw <= -2 an R^1 pi_* side; mtw = -1 kills both
-    direct images.
+    LERAY says which side feeds which H^i(P, term); _side says which side
+    is present.
     """
-    if term.mtw >= 0:
-        return TwistedSym(False, term.mtw, term.t), None
-    if term.mtw == -1:
+    side = _side(params.ell, *term)
+    if side is None:
         return None, None
-    return None, TwistedSym(True, -term.mtw - 2, term.t - params.ell)
+    sheaf = TwistedSym(*side)
+    return (None, sheaf) if side[0] else (sheaf, None)
 
 
 class TermReduction(NamedTuple):
@@ -143,11 +170,12 @@ class SurfCert(NamedTuple):
 def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfCert:
     """All certificates for H^*(X, Z_{a,b}^n), with every term; Z = Z_{1,1}.
 
-    One pass over the terms certifies every present side once.  By LERAY,
-    the curve h^j of side k (0 for pi_*, 1 for R^1 pi_*) feeds the surface
-    h^(k+j); the interval ends are summed as ints (certify bounds every
-    hi), and chi is the signed sum of the per-term Euler characteristics.
-    A query for one degree should use h_surface, which certifies only the
+    One pass over the terms certifies every present side once (a term has
+    at most one, _side).  By LERAY, the curve h^j of side k (0 for pi_*,
+    1 for R^1 pi_*) feeds the surface h^(k+j); the interval ends are
+    summed as ints (certify bounds every hi), and chi is the signed sum of
+    the per-term Euler characteristics.
+    A query for one degree should use h_surface, which bounds only the
     sides that degree reads.
 
     The cache serves the window commands, `table` and `section-ring`.  It
@@ -160,19 +188,25 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     hi = [0, 0, 0]
     total_chi = 0
     recs: list[TermReduction] = []
-    for term in decompose_twist(params, a * n, b * n):
-        certs: list[CohCert | None] = [None, None]
-        tchi = 0
-        for k, sheaf in enumerate(reduce_term(params, term)):
-            if sheaf is None:
-                continue
-            cert = certs[k] = certify(params, sheaf)
-            tchi += -cert.chi if k else cert.chi
-            for i, h in ((k, cert.h0), (k + 1, cert.h1)):
-                lo[i] += h.lo
-                hi[i] += h.hi
-        total_chi += tchi
-        recs.append(TermReduction(term, certs[0], certs[1], tchi))
+    ell = params.ell
+    for mtw, t in _rows(params, a * n, b * n):
+        side = _side(ell, mtw, t)
+        if side is None:
+            recs.append(TermReduction(PTerm(mtw, t), None, None, 0))
+            continue
+        cert = certify(params, TwistedSym(*side))
+        _, c, (lo0, hi0), (lo1, hi1) = cert
+        k = side[0]  # dualized is the side's index: 1 for R^1 pi_*
+        lo[k] += lo0
+        hi[k] += hi0
+        lo[k + 1] += lo1
+        hi[k + 1] += hi1
+        if k:
+            total_chi -= c
+            recs.append(TermReduction(PTerm(mtw, t), None, cert, -c))
+        else:
+            total_chi += c
+            recs.append(TermReduction(PTerm(mtw, t), cert, None, c))
     h0, h1, h2 = map(Cert, lo, hi)
     return SurfCert(h0, h1, h2, total_chi, tuple(recs))
 
@@ -183,25 +217,28 @@ def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> 
     By Leray (LERAY), h^i(X, Z_{a,b}^n) is the interval sum over the terms
     of decompose_twist(a*n, b*n) of h^i(C, pi_* side) for i <= 1 and
     h^(i-1)(C, R^1 pi_* side) for i >= 1.  One pass over the terms reduces
-    each with reduce_term and certifies only the present sides LERAY[i]
-    reads, so h^0 at n < 0 and h^2 once every mtw >= -1 certify nothing.
-    The interval ends are summed as ints (certify bounds every hi) and one
-    Cert is built at the end.  Nothing is cached; the result equals
+    each with _side and bounds only the present sides LERAY[i] reads, so
+    h^0 at n < 0 and h^2 once every mtw >= -1 bound nothing.  It reads the
+    ints of the curve rules (_rule_bounds, certify's core) and builds no
+    record per summand: the interval ends are summed as ints and one Cert
+    is built at the end, which validates the sum (_rule_bounds says why
+    no per-side check is lost).  Nothing is cached; the result equals
     surface_cert(params, n, a, b).h(i).
     """
     _check_degree(i)
-    reads = LERAY[i]
+    reads = dict(LERAY[i])  # side -> curve degree
+    ell = params.ell
     lo = hi = 0
-    for term in decompose_twist(params, a * n, b * n):
-        sides = reduce_term(params, term)
-        for k, j in reads:
-            sheaf = sides[k]
-            if sheaf is None:
-                continue
-            cert = certify(params, sheaf)
-            h_lo, h_hi = cert.h1 if j else cert.h0
-            lo += h_lo
-            hi += h_hi
+    for mtw, t in _rows(params, a * n, b * n):
+        side = _side(ell, mtw, t)
+        if side is None:
+            continue
+        j = reads.get(side[0])
+        if j is None:
+            continue
+        bounds = _rule_bounds(params, *side)  # chi, then (lo, hi) of h^0 and of h^1
+        lo += bounds[1 + 2 * j]
+        hi += bounds[2 + 2 * j]
     return Cert(lo, hi)
 
 
@@ -215,14 +252,20 @@ def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
 
         (+)_{i=0..ell-1} H^0(C, S^(i(p+1)/ell - [(n+i)/ell] - 2)(E)^v (x) Nl^(i*p + n - ell)),
 
-    where a summand with mtw = -1 is the zero sheaf.
+    where a summand with mtw = -1 is the zero sheaf.  Each summand comes
+    from _rows and _side, and its h^0 ends are summed as ints into one Cert.
     """
     if n >= 0:
         raise ValueError("closed form only covers n < 0")
-    ell, p, q = params.ell, params.p, _mstep(params)
-    return cert_sum(
-        certify(params, TwistedSym(True, i * q - (n + i) // ell - 2, i * p + n - ell)).h0 for i in range(ell)
-    )
+    ell = params.ell
+    lo = hi = 0
+    for mtw, t in _rows(params, n, n):
+        side = _side(ell, mtw, t)
+        if side is not None:  # an R^1 pi_* side, as every mtw < 0
+            _, h_lo, h_hi, _, _ = _rule_bounds(params, *side)
+            lo += h_lo
+            hi += h_hi
+    return Cert(lo, hi)
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -597,6 +597,31 @@ def test_json_and_csv_load_only_where_output_needs_them(case):
     assert proc.stdout.split("\n") == ["", f"{code} True", loaded, "", ""]
 
 
+def test_layer_tracing_contract(capsys):
+    # perfbench/tracing.py traces the CLI from outside: right after
+    # `import raynaudsurf.cli` it looks the engine modules up in sys.modules,
+    # wraps certify in every module that binds it by name, and counts
+    # surface_cert and certify calls on a table.  A lazy import, a second
+    # certify, or a table that bypasses either would leave `--trace 1`
+    # reading zeros without an error.
+    modules = ("params", "numclass", "curvecoh", "surfcoh", "sectionring", "cli")
+    probe = f"import sys, raynaudsurf.cli; print(*[m for m in {modules!r} if 'raynaudsurf.' + m not in sys.modules])"
+    proc = run_python("-S", "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+    from raynaudsurf import curvecoh, surfcoh
+
+    assert surfcoh.certify is curvecoh.certify
+    surfcoh.surface_cert.cache_clear()
+    curvecoh.certify.cache_clear()
+    code, _, _ = run_cli(capsys, ["table", *PS1_FLAGS, "--nmin", "-4", "--nmax", "4", "--format", "csv"])
+    assert code == 0
+    surf, curve = surfcoh.surface_cert.cache_info(), curvecoh.certify.cache_info()
+    assert surf.hits + surf.misses == 9 * 3
+    assert curve.hits + curve.misses >= 1
+
+
 # ------------------------------------------------------------- golden stdout
 
 WINDOW = ["--nmin", "-30", "--nmax", "30"]

@@ -275,6 +275,23 @@ def test_certify_matches_enumerated_filtration(sweep_small):
     assert checked > 90_000
 
 
+def test_both_rule_conflicts_still_raise(monkeypatch):
+    # The int core builds no Cert, so it must raise on an empty interval
+    # itself, for h^0 and for the h^1 transport.  Sound rules never trigger
+    # either; a fake line-bundle rule does, on O_C(4*Nl) over PS1 (deg 4 in
+    # 0..2g-2, so not nonspecial, and chi = 1).
+    import raynaudsurf.curvecoh as curvecoh_mod
+
+    s = TwistedSym(False, 0, 4)
+    assert chi(PS1, s) == 1
+    monkeypatch.setattr(curvecoh_mod, "line_bundle_h0_bounds", lambda params, t: (2, 1))
+    with pytest.raises(RuleConflict, match="h0 rules conflict"):
+        certify(PS1, s)
+    monkeypatch.setattr(curvecoh_mod, "line_bundle_h0_bounds", lambda params, t: (0, 0))
+    with pytest.raises(RuleConflict, match="h1 transport"):
+        certify(PS1, s)
+
+
 def _listed_sum(d0, step, m):
     return sum(max(0, d0 + j * step + 1) for j in range(m + 1))
 

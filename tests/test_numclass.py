@@ -189,6 +189,17 @@ def test_kodaira_vanishing_KX_matches_the_loop_over_every_L_i():
     assert len(verdicts) == 21568 and verdicts.count(True) == 14075
 
 
+def test_kodaira_vanishing_KX_agrees_with_is_ample_KX():
+    # One predicate on every valid tuple (kodaira_vanishing_KX's docstring
+    # proves it), reached by two routes that invariants prints side by side.
+    # Pinned on the classification sweep and the reference tuples, so an
+    # edit to either route shows here.
+    fams = [*enumerate_families(13, 40, 40), PS1, PS2, PS3, PS4]
+    verdicts = [kodaira_vanishing_KX(f) for f in fams]
+    assert verdicts == [is_ample_KX(f) for f in fams]
+    assert len(fams) == 2087 and verdicts.count(True) == 1144
+
+
 def test_fiber_genus_and_cusp():
     assert fiber_genus(PS1) == 1
     assert fiber_genus(PS3) == 3

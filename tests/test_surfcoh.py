@@ -297,31 +297,36 @@ def test_integer_sums_match_the_cert_chain(sweep_small):
     assert cells == len(sweep_small) * 3 * 61 * 3
 
 
-def test_h_surface_certifies_only_what_it_reads(sweep_small, monkeypatch):
-    # Degree i reads the pi_* side (mtw >= 0) for i <= 1 and the R^1 pi_*
-    # side (mtw <= -2) for i >= 1; mtw = -1 has neither.  h_surface must
-    # certify exactly those sides, once each.
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """[count] of calls of the curve rules' int core, through the name surfcoh binds."""
     import raynaudsurf.surfcoh as surfcoh_mod
 
-    calls = 0
-    real = surfcoh_mod.certify
+    count = [0]
+    real = surfcoh_mod._rule_bounds
 
-    def counting(params, sheaf):
-        nonlocal calls
-        calls += 1
-        return real(params, sheaf)
+    def counting(params, *sheaf):
+        count[0] += 1
+        return real(params, *sheaf)
 
-    monkeypatch.setattr(surfcoh_mod, "certify", counting)
+    monkeypatch.setattr(surfcoh_mod, "_rule_bounds", counting)
+    return count
+
+
+def test_h_surface_certifies_only_what_it_reads(sweep_small, rule_calls):
+    # Degree i reads the pi_* side (mtw >= 0) for i <= 1 and the R^1 pi_*
+    # side (mtw <= -2) for i >= 1; mtw = -1 has neither.  h_surface must
+    # bound exactly those sides, once each.
     reads = (lambda mtw: mtw >= 0, lambda mtw: mtw != -1, lambda mtw: mtw <= -2)
     total = 0
     for f in sweep_small:
         for n in range(-30, 31):
             mtws = [term.mtw for term in decompose_twist(f, n, n)]
             for i in range(3):
-                calls = 0
+                rule_calls[0] = 0
                 h_surface(f, i, n)
-                assert calls == sum(map(reads[i], mtws)), (f, i, n)
-                total += calls
+                assert rule_calls[0] == sum(map(reads[i], mtws)), (f, i, n)
+                total += rule_calls[0]
     assert total > 0
 
 
@@ -355,15 +360,14 @@ def test_inline_chi_matches_riemann_roch(sweep_small):
     assert sides == want_sides > 0
 
 
-def test_h0_and_h2_checks_certify_nothing(sweep_acceptance):
+def test_h0_and_h2_checks_certify_nothing(sweep_acceptance, rule_calls):
     # h0_zero_negative, h2_vanishes_high and h1_zero_below_window come from
-    # proofs and read no curve certificate.  So the certify calls of
+    # proofs and read no curve certificate.  So the curve-rule calls of
     # theorem_predicates are those of its h1_nonzero_near_zero entries: one
     # per present side of each of their terms (h^1 reads both sides).
     for f in sweep_acceptance:
-        before = certify.cache_info().misses
+        rule_calls[0] = 0
         report = theorem_predicates(f)
-        made = certify.cache_info().misses - before
         h1_sides = sum(
             side is not None
             for e in report.entries
@@ -371,7 +375,7 @@ def test_h0_and_h2_checks_certify_nothing(sweep_acceptance):
             for term in decompose_twist(f, e.n, e.n)
             for side in reduce_term(f, term)
         )
-        assert made == h1_sides, f
+        assert rule_calls[0] == h1_sides, f
 
 
 def _h1_zero_below(f):
