@@ -19,18 +19,24 @@ R^1 pi_* O_P(m) = S^(-m-2)(E)^v (x) O(-D) for m <= -2 (zero for m >= -1),
 so every H^i(X, Z^n) is a direct sum of curve-level certificates and every
 Euler characteristic is an exact alternating sum over the same terms.
 
-The direct-image row and the reduction rule are written once each, as
-int helpers: _rows gives the (mtw, t) of every summand and _side the one
+The direct-image row and the reduction rule are int helpers on the
+record path: _rows gives the (mtw, t) of every summand and _side the one
 curve sheaf (dualized, m, t) of a term, or None.  decompose_twist and
 reduce_term build their public records (PTerm, TwistedSym) from them.
 surface_cert reads them too, certifies each present side and sums by the
-Leray rule LERAY; h_surface, for one degree, and h1neg_closed_form, the
-n < 0 sum for h^1 (acceptance criterion 07 compares it with the engine),
-read them with the curve rules' int core _rule_bounds and build one Cert
-from the summed ints, with no record per summand.  theorem_predicates
-takes its vanishing claims from proofs on that same table (h^0 for n < 0,
-h^2 from p(p+1) on, h^1 below the window for p = 2, 3), stores each once
-as an n-range, and asks the engine only for the rest; ThmReport.entries
+Leray rule LERAY, and h1neg_closed_form, the n < 0 sum for h^1, reads
+them with the curve rules' int core _rule_bounds.  h_surface, the
+one-degree query theorem_predicates asks on every tuple of a sweep,
+inlines both in one loop, with no row list and no _side call or tuple
+per summand, and sums the ints of _rule_bounds into one Cert.  So there
+are two codings of the row and the rule, and the tests pin them
+together: test_h_surface_equals_full_certificate and
+test_integer_sums_match_the_cert_chain (h_surface against surface_cert),
+test_closed_forms_agree_with_engine and acceptance criterion 07
+(h1neg_closed_form against h_surface).  theorem_predicates takes its
+vanishing claims from proofs on that same table (h^0 for n < 0, h^2 from
+p(p+1) on, h^1 below the window for p = 2, 3), stores each once as an
+n-range, and asks the engine only for the rest; ThmReport.entries
 expands the ranges into one entry per n.  The independent checks of the
 engine live in the tests: Riemann-Roch from numclass, Serre duality on
 the smooth (Tango) tuples, and the engine itself as the oracle of every
@@ -103,8 +109,9 @@ def _mstep(params: SurfaceParams) -> int:
 def _rows(params: SurfaceParams, m: int, tw: int) -> list[tuple[int, int]]:
     """(mtw, t) of each summand i = 0..ell-1 of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw.
 
-    The direct-image row of the module docstring, the only copy of it:
-    summand i is O_P([(m+i)/ell] - i(p+1)/ell) (x) pi^* Nl^(i*p + tw).
+    The direct-image row of the module docstring: summand i is
+    O_P([(m+i)/ell] - i(p+1)/ell) (x) pi^* Nl^(i*p + tw).  This is the
+    reference copy, read by the record path; h_surface inlines it.
     """
     ell, p, q = params.ell, params.p, _mstep(params)
     return [((m + i) // ell - i * q, i * p + tw) for i in range(ell)]
@@ -117,6 +124,7 @@ def _side(ell: int, mtw: int, t: int) -> tuple[bool, int, int] | None:
     an R^1 pi_* side, S^(-mtw-2)(E)^v (x) Nl^(t-ell); mtw = -1 kills both
     direct images (None).  So a term has at most one nonzero side, and
     dualized is that side's index in LERAY: 0 for pi_*, 1 for R^1 pi_*.
+    This is the reference copy of the rule; h_surface inlines it.
     """
     if mtw >= 0:
         return False, mtw, t
@@ -214,31 +222,40 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
 def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> Cert:
     """Certificate for h^i(X, Z_{a,b}^n), computing degree i alone.
 
-    By Leray (LERAY), h^i(X, Z_{a,b}^n) is the interval sum over the terms
-    of decompose_twist(a*n, b*n) of h^i(C, pi_* side) for i <= 1 and
-    h^(i-1)(C, R^1 pi_* side) for i >= 1.  One pass over the terms reduces
-    each with _side and bounds only the present sides LERAY[i] reads, so
-    h^0 at n < 0 and h^2 once every mtw >= -1 bound nothing.  It reads the
-    ints of the curve rules (_rule_bounds, certify's core) and builds no
-    record per summand: the interval ends are summed as ints and one Cert
-    is built at the end, which validates the sum (_rule_bounds says why
-    no per-side check is lost).  Nothing is cached; the result equals
-    surface_cert(params, n, a, b).h(i).
+    Z_{a,b}^n pushes down to m = a*n, tw = b*n.  One loop over the summands
+    s = 0..ell-1 writes out _rows and _side: summand s has the direct-image
+    row mtw = [(m+s)/ell] - s(p+1)/ell, t = s*p + tw, and mtw >= 0 gives a
+    pi_* side S^mtw(E) (x) Nl^t, mtw <= -2 an R^1 pi_* side
+    S^(-mtw-2)(E)^v (x) Nl^(t-ell), mtw = -1 neither.  The Leray index rule
+    (LERAY) is j = i - dualized: a pi_* side feeds h^i through its curve
+    h^i when i <= 1, an R^1 pi_* side through its curve h^(i-1) when
+    i >= 1.  Only those sides are bounded, so h^0 at n < 0 and h^2 once
+    every mtw >= -1 bound nothing.  The ends from the curve rules' int core
+    (_rule_bounds) are summed as ints, with no row list and no record per
+    summand, and one Cert is built at the end, which validates the sum
+    (_rule_bounds says why no per-side check is lost).  Nothing is cached;
+    the result equals surface_cert(params, n, a, b).h(i).
     """
     _check_degree(i)
-    reads = dict(LERAY[i])  # side -> curve degree
-    ell = params.ell
+    ell, p, q = params.ell, params.p, _mstep(params)
+    m, t = a * n, b * n
+    # _rule_bounds gives (chi, h^0 lo, h^0 hi, h^1 lo, h^1 hi): curve h^j's
+    # ends sit at 1 + 2j and 2 + 2j.
+    push = 1 + 2 * i  # curve h^i of a pi_* side, read when i <= 1
+    derived = 2 * i - 1  # curve h^(i-1) of an R^1 pi_* side, read when i >= 1
     lo = hi = 0
-    for mtw, t in _rows(params, a * n, b * n):
-        side = _side(ell, mtw, t)
-        if side is None:
-            continue
-        j = reads.get(side[0])
-        if j is None:
-            continue
-        bounds = _rule_bounds(params, *side)  # chi, then (lo, hi) of h^0 and of h^1
-        lo += bounds[1 + 2 * j]
-        hi += bounds[2 + 2 * j]
+    for s in range(ell):
+        mtw = (m + s) // ell - s * q
+        if mtw >= 0:
+            if i < 2:
+                bounds = _rule_bounds(params, False, mtw, t)
+                lo += bounds[push]
+                hi += bounds[push + 1]
+        elif mtw < -1 and i:
+            bounds = _rule_bounds(params, True, -mtw - 2, t - ell)
+            lo += bounds[derived]
+            hi += bounds[derived + 1]
+        t += p
     return Cert(lo, hi)
 
 
@@ -396,6 +413,14 @@ def _nonvanishing(theorem: str, n: int, cert: Cert) -> ThmEntry:
     return ThmEntry(theorem, n, "nonvanishing", cert, "confirmed" if cert.certainly_nonzero else "stronger")
 
 
+def _proven(theorem: str, ns: range) -> ThmEntry:
+    return ThmEntry(theorem, ns, "vanishing", ZERO_CERT, "confirmed")
+
+
+# The same for every tuple once polarization_class passes the check below.
+_POLARIZATION_ENTRY = ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed")
+
+
 def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     """Check every closed-form (non-)vanishing statement, over n in windows.
 
@@ -428,11 +453,8 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     p, ell = params.p, params.ell
     window = h1_nonvanishing_window(params)
 
-    def proven(theorem: str, ns: range) -> ThmEntry:
-        return ThmEntry(theorem, ns, "vanishing", ZERO_CERT, "confirmed")
-
     # h^2 vanishes from p(p+1) on; listed on a finite window.
-    claims = [proven("h2_vanishes_high", range(p * (p + 1), p * (p + 1) + 3 * ell + 1))]
+    claims = [_proven("h2_vanishes_high", range(p * (p + 1), p * (p + 1) + 3 * ell + 1))]
 
     # h^1 is nonzero on the window just below 0.
     for n in range(window, 0):  # the result1_range degrees
@@ -440,10 +462,10 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
 
     # For p = 2, 3 the window is sharp: h^1 vanishes below it.
     if p in (2, 3):
-        claims.append(proven("h1_zero_below_window", range(nneg_min, window)))
+        claims.append(_proven("h1_zero_below_window", range(nneg_min, window)))
 
     # Ampleness sanity: no sections in negative degrees.
-    claims.append(proven("h0_zero_negative", range(nneg_min, 0)))
+    claims.append(_proven("h0_zero_negative", range(nneg_min, 0)))
 
     # The polarization is numerically Etilde plus the pullback of deg D / ell,
     # checked as the cover relation ell*Z = psi^*(E + dD*f) with psi^*E =
@@ -451,6 +473,6 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     z = polarization_class(params)
     if z.cEt != 1 or params.ell * z.d != params.dD:
         raise TheoremContradicted(f"polarization class {z} breaks ell*Z = psi^*(E + dD*f)")
-    claims.append(ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed"))
+    claims.append(_POLARIZATION_ENTRY)
 
     return ThmReport(params, tuple(claims))

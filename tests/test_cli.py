@@ -543,7 +543,16 @@ def test_console_script_and_module_share_the_entry_point():
     imported = [(node.level, node.module, [a.name for a in node.names]) for node in tree.body[:-1]]
     last = tree.body[-1]
     assert imported == [(1, "cli", ["run"])]
-    assert isinstance(last, ast.Expr) and ast.unparse(last) == "run()"
+    # The call is guarded, so importing the module runs nothing.
+    assert isinstance(last, ast.If) and ast.unparse(last.test) == "__name__ == '__main__'"
+    assert not last.orelse and [ast.unparse(node) for node in last.body] == ["run()"]
+
+
+def test_importing_the_main_module_runs_nothing():
+    # Tools that import every submodule (pkgutil.walk_packages lists
+    # raynaudsurf.__main__) must not start the CLI.
+    proc = run_python("-c", "import raynaudsurf.__main__")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_cold_import_skips_dataclasses_and_inspect():

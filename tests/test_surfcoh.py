@@ -69,6 +69,8 @@ def test_decompose_examples():
 
 # An ell = 24 Tango surface: the largest ell the benchmark's tables workload draws.
 ELL24 = SurfaceParams(23, 277, 24, 24, 24, Structure.TANGO)
+# A Tango surface with ell = p + 1 = 1020: a thousand summands per twist.
+TANGO1019 = SurfaceParams(1019, 519691, 1020, 1020, 1020, Structure.TANGO)
 
 
 def test_decompose_matches_oracle(sweep_small):
@@ -242,17 +244,26 @@ def test_cache_bound_drops_no_hit_and_stays_bounded(sweep_acceptance, capsys):
 
 def test_h_surface_equals_full_certificate(sweep_acceptance):
     # The degree-only query certifies a subset of the sides surface_cert
-    # certifies and must sum them to the same interval.
-    cells = 0
+    # certifies and must sum them to the same interval.  h_surface writes
+    # the direct-image row and the reduction rule out inline, surface_cert
+    # reads them from _rows and _side: two codings, compared here.
+    cases = []
     for f in sweep_acceptance:
         keys = [(n, 1, 1) for n in range(-30, f.p * (f.p + 1) + 3 * f.ell + 1)]
         keys += [(-1, a, b) for a in range(1, 4) for b in range(1, f.ell)]
+        cases.append((f, keys))
+    cases.append((ELL24, [(n, a, b) for n in range(-NMAX, NMAX + 1) for a, b in ((1, 1), (2, 1), (1, 23))]))
+    cases.append((TANGO1019, [(n, 1, 1) for n in range(-3, 4)]))
+    cells = 0
+    for f, keys in cases:
         for n, a, b in keys:
             sc = surface_cert(f, n, a, b)
             for i in range(3):
                 assert h_surface(f, i, n, a, b) == sc.h(i), (f, i, n, a, b)
                 cells += 1
-    assert cells == 64392
+    # 3 degrees per key: 64392 on the acceptance sweep, 3 * 201 * 3 = 1809
+    # on ELL24 (n in [-100, 100], three (a, b)) and 3 * 7 = 21 on TANGO1019.
+    assert cells == 64392 + 1809 + 21
 
 
 def _leray_reference(f, n, a, b):
@@ -441,8 +452,11 @@ def test_h1neg_closed_form_examples():
 
 
 def test_closed_forms_agree_with_engine(sweep_small):
-    for f in sweep_small[:25]:
-        for n in range(-30, 0):
+    # h1neg_closed_form reads _rows and _side, h_surface its inline copy.
+    cases = [(f, range(-30, 0)) for f in sweep_small[:25]]
+    cases += [(ELL24, range(-NMAX, 0)), (TANGO1019, range(-3, 0))]
+    for f, ns in cases:
+        for n in ns:
             assert h1neg_closed_form(f, n) == h_surface(f, 1, n), (f, n)
 
 
