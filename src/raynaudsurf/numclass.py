@@ -4,14 +4,18 @@ Numerical classes on P live in the span of the canonical section E and a
 fiber f, with pairing E.E = dD, E.f = 1, f.f = 0.  On the degree-ell cyclic
 cover X only the span of the section Etilde and of pullbacks from the base
 curve is ever needed: Etilde.Etilde = dD/ell, Etilde meets a pulled-back
-degree-d class in d, and two pullbacks are disjoint.
+degree-d class in d, and two pullbacks are disjoint.  ClassP and ClassX
+hold the two coefficients and share one algebra.
 
 Every number computed here is an integer, because ell divides both dD and
 p+1: Etilde^2 = dD/ell is deg Nl, K_X's pulled-back degree is
-2g-2 - w*dD/ell = 2g-2 - w*deg Nl with w = p*ell-p-ell, and the
-coefficients of every L_i are integers (li_class).  So classes hold ints; a coefficient a caller passes
-in as a rational (a Fraction, or a string such as "1/2") is kept exact as
-a Fraction, and only then is fractions imported.
+2g-2 - w*deg Nl with w = p*ell-p-ell, and the coefficients of every L_i
+are integers (li_class).  So classes hold ints; a coefficient passed in as
+a rational (a Fraction, or a string such as "1/2") is kept exact as a
+Fraction, and only then is fractions imported.
+
+K_X is ample exactly when H^1(X, K_X^{-1}) = 0 (kodaira_vanishing_KX
+proves it), and is_ample_KX decides both from canonical_X.
 """
 
 from __future__ import annotations
@@ -51,10 +55,7 @@ __all__ = [
 
 
 def frac_str(x: RatLike) -> str:
-    """Canonical "num/den" form, gcd-reduced, positive denominator.
-
-    An int is k/1; a Fraction is stored reduced with a positive denominator.
-    """
+    """Reduced "num/den" with a positive denominator; an int is k/1."""
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -67,14 +68,49 @@ def _coeff(x: object) -> RatLike:
     return Fraction(x)
 
 
+class _Class(tuple):
+    """+, - and scaling for ClassP and ClassX, which name and coerce the fields.
+
+    A sum or difference of a class on P and one on X raises TypeError.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # tuple._make, and so _replace, would bypass __new__.
+        return cls(*iterable)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self[0] + other[0], self[1] + other[1])
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self[0] - other[0], self[1] - other[1])
+
+    def __neg__(self):
+        return type(self)(-self[0], -self[1])
+
+    def __rmul__(self, k: RatLike):
+        return type(self)(k * self[0], k * self[1])
+
+    __mul__ = __rmul__
+
+    def to_json(self) -> dict:
+        return {name: frac_str(c) for name, c in zip(self._fields, self)}
+
+
 # The fields alone: a NamedTuple class may not define __new__, so the
-# subclass below checks or coerces its input there.
+# subclasses below coerce their input there.
 class _ClassPFields(NamedTuple):
     cE: RatLike
     cf: RatLike
 
 
-class ClassP(_ClassPFields):
+class ClassP(_Class, _ClassPFields):
     """a*E + b*f up to numerical equivalence on the ruled surface."""
 
     __slots__ = ()
@@ -82,63 +118,19 @@ class ClassP(_ClassPFields):
     def __new__(cls, cE: RatLike, cf: RatLike):
         return tuple.__new__(cls, (_coeff(cE), _coeff(cf)))
 
-    @classmethod
-    def _make(cls, iterable) -> "ClassP":
-        # tuple._make, and so _replace, would bypass __new__.
-        return cls(*iterable)
-
-    def __add__(self, other: "ClassP") -> "ClassP":
-        return ClassP(self.cE + other.cE, self.cf + other.cf)
-
-    def __sub__(self, other: "ClassP") -> "ClassP":
-        return ClassP(self.cE - other.cE, self.cf - other.cf)
-
-    def __neg__(self) -> "ClassP":
-        return ClassP(-self.cE, -self.cf)
-
-    def __rmul__(self, k: RatLike) -> "ClassP":
-        return ClassP(k * self.cE, k * self.cf)
-
-    __mul__ = __rmul__
-
-    def to_json(self) -> dict:
-        return {"cE": frac_str(self.cE), "cf": frac_str(self.cf)}
-
 
 class _ClassXFields(NamedTuple):
     cEt: RatLike
     d: RatLike
 
 
-class ClassX(_ClassXFields):
+class ClassX(_Class, _ClassXFields):
     """a*Etilde + (pullback of a degree-d class from the base curve)."""
 
     __slots__ = ()
 
     def __new__(cls, cEt: RatLike, d: RatLike):
         return tuple.__new__(cls, (_coeff(cEt), _coeff(d)))
-
-    @classmethod
-    def _make(cls, iterable) -> "ClassX":
-        # tuple._make, and so _replace, would bypass __new__.
-        return cls(*iterable)
-
-    def __add__(self, other: "ClassX") -> "ClassX":
-        return ClassX(self.cEt + other.cEt, self.d + other.d)
-
-    def __sub__(self, other: "ClassX") -> "ClassX":
-        return ClassX(self.cEt - other.cEt, self.d - other.d)
-
-    def __neg__(self) -> "ClassX":
-        return ClassX(-self.cEt, -self.d)
-
-    def __rmul__(self, k: RatLike) -> "ClassX":
-        return ClassX(k * self.cEt, k * self.d)
-
-    __mul__ = __rmul__
-
-    def to_json(self) -> dict:
-        return {"cEt": frac_str(self.cEt), "d": frac_str(self.d)}
 
 
 E_P = ClassP(1, 0)
@@ -199,19 +191,16 @@ def is_ample_P(params: SurfaceParams, a: ClassP) -> bool:
 def is_ample_KX(params: SurfaceParams) -> bool:
     """Ampleness of K_X via the degree tests on its two summands.
 
-    K_X = deg_b*Etilde + phi^*(deg_a) with deg_a = 2g-2 - (p*ell-p-ell)*dNl
-    and deg_b = p*ell-p-ell-1 (canonical_X), so with Etilde^2 = dNl >= 1
-    the three Nakai-Moishezon products are
+    canonical_X gives K_X = deg_b*Etilde + phi^*(deg_a), so with
+    Etilde^2 = dNl >= 1 the three Nakai-Moishezon products are
       K_X.fiber = deg_b,  K_X.Etilde = deg_b*dNl + deg_a,
       K_X^2 = deg_b^2*dNl + 2*deg_b*deg_a,
     all positive once deg_a > 0 and deg_b > 0: the two degree tests decide.
     This reproduces the closed classification "(p, ell) = (3, 4) or
     p >= 5" on every valid tuple.
     """
-    w = params.p * params.ell - params.p - params.ell
-    deg_a = 2 * params.g - 2 - w * params.dNl
-    deg_b = w - 1
-    return deg_a > 0 and deg_b > 0
+    kx = canonical_X(params)
+    return kx.cEt > 0 and kx.d > 0
 
 
 def li_class(params: SurfaceParams, i: int) -> ClassP:
@@ -231,23 +220,21 @@ def li_class(params: SurfaceParams, i: int) -> ClassP:
 
 
 def kodaira_vanishing_KX(params: SurfaceParams) -> bool:
-    """H^1(X, K_X^{-1}) = 0, decided by ampleness of every L_i on P.
+    """H^1(X, K_X^{-1}) = 0: every L_i (li_class) is ample on P.
 
-    L_i = u_i*E + v_i*f (li_class) is ample exactly when
-      L_i.f = u_i > 0,  L_i.E = u_i*dD + v_i > 0  and
-      L_i^2 = u_i*(u_i*dD + 2*v_i) > 0,
-    that is, when the three numbers u_i, u_i*dD + v_i and u_i*dD + 2*v_i
-    are positive (the last because u_i > 0).  u_i and v_i are affine in i,
-    so all three are too, and an affine function is positive on 0..ell-1
-    exactly when it is positive at i = 0 and at i = ell-1.  So the two end
-    classes decide all ell of them, in O(1).
-
-    On every valid tuple this agrees with is_ample_KX (p*dD <= 2g-2 makes
-    the i = ell-1 conditions and L_0.E > 0 automatic, leaving u_0 > 0).
-    Both stay: this is the paper's route through the L_i, is_ample_KX the
-    closed classification, and invariants reports the two side by side.
+    L_i = u_i*E + v_i*f is ample exactly when u_i > 0, u_i*dD + v_i > 0
+    and u_i*dD + 2*v_i > 0 (is_ample_P: L_i.f, L_i.E and L_i^2/u_i).  All
+    three are affine in i, so i = 0 and i = ell-1 decide, and once u_0 > 0
+    p*dD <= 2g-2 makes every other end condition hold:
+      L_0.E = 2g-2 - dNl > 0,  u_{ell-1} = 2*u_0 + 2 > 0,
+      u_{ell-1}*dD + 2*v_{ell-1} = 4(g-1) - 2*dNl*(p-1)(ell-1)
+                                 >= 2*dNl*(p+ell-1) > 0,
+    and u_{ell-1}*dD + v_{ell-1} is the mean of two positive numbers.  So
+    u_0 = (p+1)(ell-1)/ell - 2 > 0, that is p*ell - p - ell > 1, decides.
+    That is deg_b > 0 in is_ample_KX, whose other test always holds
+    (deg_a >= dD*(p/ell + 1)), so the vanishing is exactly is_ample_KX.
     """
-    return all(is_ample_P(params, li_class(params, i)) for i in (0, params.ell - 1))
+    return is_ample_KX(params)
 
 
 def fiber_genus(params: SurfaceParams) -> int:

@@ -100,13 +100,14 @@ def check(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> list[
     for name, v in (("p", p), ("g", g), ("dD", dD), ("e", e), ("ell", ell)):
         if not isinstance(v, int) or isinstance(v, bool):
             bad.append(f"ConstraintViolated({name} is an integer): got {v!r}")
-    if bad:
-        return bad
+    typed = not bad
     st = _coerce_structure(structure)
     if st is None:
         bad.append(
             f"ConstraintViolated(structure): {structure!r} is not 'tango' or 'pretango'"
         )
+    if not typed:
+        return bad
     if p >= _MR_BOUND:
         bad.append(f"ConstraintViolated(p < {_MR_BOUND}): p = {p}")
     elif not is_prime(p):

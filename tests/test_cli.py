@@ -650,6 +650,9 @@ def golden_commands() -> dict[str, list[str]]:
     cmds["table PS3 Z_1,3"] = ["table", *PS3_FLAGS, *WINDOW, "--a", "1", "--b", "3"]
     cmds["section-ring PS1"] = ["section-ring", *PS1_FLAGS, *WINDOW]
     cmds["invariants PS3"] = ["invariants", *PS3_FLAGS]
+    # Both K_X fields false, and the pretty layout.
+    cmds["invariants PS1"] = ["invariants", *PS1_FLAGS]
+    cmds["invariants PS4 pretty"] = ["invariants", *PS4_FLAGS, "--format", "pretty"]
     cmds["validate PS4"] = ["validate", *PS4_FLAGS]
     cmds["validate invalid"] = ["validate", "-p", "4", "-g", "4", "--dD", "2", "-e", "2", "--ell", "3", "--pretango"]
     cmds["families json"] = ["families", "--pmax", "7", "--gmax", "20", "--ddmax", "20"]
@@ -693,6 +696,8 @@ GOLDEN_MD5 = {
     "table PS3 Z_1,3": "b97dcd50c107d2fc7c6ca856412b55cf",
     "section-ring PS1": "cf973b2211edf452cbd2371632979bc4",
     "invariants PS3": "952c5891dcfc7b6656c712ef3e4fe784",
+    "invariants PS1": "2805c37f0b47360454c9bb90fa0db773",
+    "invariants PS4 pretty": "4c56177b5b0e41dec2ee9671d2011a05",
     "validate PS4": "236363f13fad6bc1ca041122a8521841",
     "validate invalid": "4e2ecb2d8ec2b9c845743088320211a5",
     "families json": "4a994e0a9e358df7957384634fe8739d",

@@ -179,8 +179,9 @@ def test_kodaira_vanishing_KX():
 
 
 def test_kodaira_vanishing_KX_matches_the_loop_over_every_L_i():
-    # Oracle: ampleness of each of the ell classes L_i, one by one.  The
-    # function itself tests i = 0 and i = ell-1 only (its docstring's proof).
+    # The one independent route: ampleness of each of the ell classes L_i,
+    # one by one.  The function itself returns is_ample_KX, the two degree
+    # tests on K_X (its docstring's proof).
     verdicts = []
     for f in enumerate_families(47, 100, 96):
         loop = all(is_ample_P(f, li_class(f, i)) for i in range(f.ell))
@@ -190,10 +191,10 @@ def test_kodaira_vanishing_KX_matches_the_loop_over_every_L_i():
 
 
 def test_kodaira_vanishing_KX_agrees_with_is_ample_KX():
-    # One predicate on every valid tuple (kodaira_vanishing_KX's docstring
-    # proves it), reached by two routes that invariants prints side by side.
-    # Pinned on the classification sweep and the reference tuples, so an
-    # edit to either route shows here.
+    # kodaira_vanishing_KX returns is_ample_KX (its docstring proves the
+    # two agree), so invariants prints one predicate twice.  Pinned on the
+    # classification sweep and the reference tuples, so an edit that splits
+    # the two again shows here.
     fams = [*enumerate_families(13, 40, 40), PS1, PS2, PS3, PS4]
     verdicts = [kodaira_vanishing_KX(f) for f in fams]
     assert verdicts == [is_ample_KX(f) for f in fams]
@@ -256,3 +257,8 @@ def test_scalar_multiplication_from_either_side():
     assert ClassP(1, 0) * 2 == 2 * ClassP(1, 0) == ClassP(2, 0)
     assert ClassX(1, 3) * Fraction(1, 2) == Fraction(1, 2) * ClassX(1, 3) == ClassX(Fraction(1, 2), Fraction(3, 2))
     assert len(ETILDE * 3) == 2
+    # A class on P and one on X neither add nor subtract.
+    with pytest.raises(TypeError):
+        ClassP(1, 0) + ClassX(1, 0)
+    with pytest.raises(TypeError):
+        ClassX(0, 1) - ClassP(0, 1)

@@ -38,6 +38,12 @@ def test_validate_rejects_bad_ell_divisibility():
     # The complete list is reported, not only the first failure.
     assert any("ell | e" in v for v in viols)
     assert any("ell | dD" in v for v in viols)
+    # A field that is not an int stops the numeric checks, not the
+    # structure check.
+    assert check(2.0, 4, 3, 3, 3, "bogus") == [
+        "ConstraintViolated(p is an integer): got 2.0",
+        "ConstraintViolated(structure): 'bogus' is not 'tango' or 'pretango'",
+    ]
 
 
 def test_validate_tango_equality_case():
