@@ -13,8 +13,9 @@ endpoints and one arithmetic series: a certificate costs O(1) in m.
 The rules live in one private function on ints, _rule_bounds, which
 returns (chi, h^0 lo, h^0 hi, h^1 lo, h^1 hi); certify wraps its result
 in a CohCert.  surface_cert certifies each side of a window twist, and
-caches the sums; h_surface reads _rule_bounds directly, sums the ints and
-builds one Cert.  No certificate is kept once it is returned: no sheaf
+caches the sums; h_surface and h1neg_closed_form read _rule_bounds
+directly on the sides surfcoh's _terms yields, sum the ints and build one
+Cert.  No certificate is kept once it is returned: no sheaf
 recurred on the benchmark workloads.
 
 In the middle degree range the true dimensions depend on the extension class

@@ -69,17 +69,29 @@ def _coeff(x: object) -> RatLike:
 
 
 class _Class(tuple):
-    """+, - and scaling for ClassP and ClassX, which name and coerce the fields.
+    """==, +, - and scaling for ClassP and ClassX, which name and coerce the fields.
 
-    A sum or difference of a class on P and one on X raises TypeError.
+    A class on P never equals a class on X, though both hash as their
+    coefficient tuple, and their sum or difference raises TypeError.
     """
 
     __slots__ = ()
+    # Defining __eq__ would otherwise set __hash__ to None.
+    __hash__ = tuple.__hash__
 
     @classmethod
     def _make(cls, iterable):
         # tuple._make, and so _replace, would bypass __new__.
         return cls(*iterable)
+
+    # tuple's own == and != would compare a class on P equal to one on X.
+    def __eq__(self, other):
+        if isinstance(other, _Class) and type(other) is not type(self):
+            return False
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __add__(self, other):
         if type(other) is not type(self):

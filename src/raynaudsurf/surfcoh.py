@@ -19,34 +19,28 @@ R^1 pi_* O_P(m) = S^(-m-2)(E)^v (x) O(-D) for m <= -2 (zero for m >= -1),
 so every H^i(X, Z^n) is a direct sum of curve-level certificates and every
 Euler characteristic is an exact alternating sum over the same terms.
 
-The direct-image row and the reduction rule are int helpers on the
-record path: _rows gives the (mtw, t) of every summand and _side the one
-curve sheaf (dualized, m, t) of a term, or None.  decompose_twist and
-reduce_term build their public records (PTerm, TwistedSym) from them.
-surface_cert reads them too, certifies each present side and sums by the
-Leray rule LERAY, and h1neg_closed_form, the n < 0 sum for h^1, reads
-them with the curve rules' int core _rule_bounds.  h_surface, the
-one-degree query theorem_predicates asks on every tuple of a sweep,
-inlines both in one loop, with no row list and no _side call or tuple
-per summand, and sums the ints of _rule_bounds into one Cert.  So there
-are two codings of the row and the rule, and the tests pin them
-together: test_h_surface_equals_full_certificate and
-test_integer_sums_match_the_cert_chain (h_surface against surface_cert),
-test_closed_forms_agree_with_engine and acceptance criterion 07
-(h1neg_closed_form against h_surface).  theorem_predicates takes its
-vanishing claims from proofs on that same table (h^0 for n < 0, h^2 from
-p(p+1) on, h^1 below the window for p = 2, 3), stores each once as an
-n-range, and asks the engine only for the rest; ThmReport.entries
-expands the ranges into one entry per n.  The independent checks of the
-engine live in the tests: Riemann-Roch from numclass, Serre duality on
-the smooth (Tango) tuples, and the engine itself as the oracle of every
-proven vanishing claim.
+The direct-image row and the reduction rule are coded once each: the
+generator _terms yields every summand's (mtw, t) with its one curve sheaf
+from _side, the reduction rule, and every reader iterates it.
+decompose_twist builds the public PTerm records from it and reduce_term
+the TwistedSym ones from _side.  surface_cert certifies each present side
+and sums by the Leray rule LERAY; h_surface, the one-degree query
+theorem_predicates asks on every tuple of a sweep, and h1neg_closed_form,
+the n < 0 sum for h^1, add the ints of the curve rules' core _rule_bounds
+over the sides they read.  theorem_predicates takes its vanishing claims
+from proofs on that same table (h^0 for n < 0, h^2 from p(p+1) on, h^1
+below the window for p = 2, 3), stores each once as an n-range, and asks
+the engine only for the rest; ThmReport.entries expands the ranges into
+one entry per n.  The independent checks of the engine live in the
+tests: Riemann-Roch from numclass, Serre duality on the smooth (Tango)
+tuples, the exact-fraction row oracle of test_decompose_matches_oracle,
+and the engine itself as the oracle of every proven vanishing claim.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .curvecoh import ZERO_CERT, Cert, CohCert, TwistedSym, _rule_bounds, certify, line_bundle_h0_bounds
 from .numclass import polarization_class
@@ -106,17 +100,6 @@ def _mstep(params: SurfaceParams) -> int:
     return q
 
 
-def _rows(params: SurfaceParams, m: int, tw: int) -> list[tuple[int, int]]:
-    """(mtw, t) of each summand i = 0..ell-1 of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw.
-
-    The direct-image row of the module docstring: summand i is
-    O_P([(m+i)/ell] - i(p+1)/ell) (x) pi^* Nl^(i*p + tw).  This is the
-    reference copy, read by the record path; h_surface inlines it.
-    """
-    ell, p, q = params.ell, params.p, _mstep(params)
-    return [((m + i) // ell - i * q, i * p + tw) for i in range(ell)]
-
-
 def _side(ell: int, mtw: int, t: int) -> tuple[bool, int, int] | None:
     """The reduction rule: (dualized, m, t) of the curve sheaf of O_P(mtw) (x) pi^* Nl^t.
 
@@ -124,7 +107,6 @@ def _side(ell: int, mtw: int, t: int) -> tuple[bool, int, int] | None:
     an R^1 pi_* side, S^(-mtw-2)(E)^v (x) Nl^(t-ell); mtw = -1 kills both
     direct images (None).  So a term has at most one nonzero side, and
     dualized is that side's index in LERAY: 0 for pi_*, 1 for R^1 pi_*.
-    This is the reference copy of the rule; h_surface inlines it.
     """
     if mtw >= 0:
         return False, mtw, t
@@ -133,9 +115,23 @@ def _side(ell: int, mtw: int, t: int) -> tuple[bool, int, int] | None:
     return True, -mtw - 2, t - ell
 
 
+def _terms(params: SurfaceParams, m: int, tw: int) -> Iterator[tuple[int, int, tuple[bool, int, int] | None]]:
+    """(mtw, t, side) of each summand i = 0..ell-1 of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw.
+
+    The direct-image row of the module docstring: summand i is
+    O_P([(m+i)/ell] - i(p+1)/ell) (x) pi^* Nl^(i*p + tw), and side is
+    _side of that term.  The one coding of the row; every reader of the
+    table iterates it.
+    """
+    ell, p, q = params.ell, params.p, _mstep(params)
+    for i in range(ell):
+        mtw, t = (m + i) // ell - i * q, i * p + tw
+        yield mtw, t, _side(ell, mtw, t)
+
+
 def decompose_twist(params: SurfaceParams, m: int, tw: int) -> tuple[PTerm, ...]:
     """Terms of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw; Z^n is m = tw = n."""
-    return tuple(map(PTerm._make, _rows(params, m, tw)))
+    return tuple(PTerm(mtw, t) for mtw, t, _ in _terms(params, m, tw))
 
 
 def reduce_term(params: SurfaceParams, term: PTerm) -> tuple[TwistedSym | None, TwistedSym | None]:
@@ -196,9 +192,7 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     hi = [0, 0, 0]
     total_chi = 0
     recs: list[TermReduction] = []
-    ell = params.ell
-    for mtw, t in _rows(params, a * n, b * n):
-        side = _side(ell, mtw, t)
+    for mtw, t, side in _terms(params, a * n, b * n):
         if side is None:
             recs.append(TermReduction(PTerm(mtw, t), None, None, 0))
             continue
@@ -222,40 +216,27 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
 def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> Cert:
     """Certificate for h^i(X, Z_{a,b}^n), computing degree i alone.
 
-    Z_{a,b}^n pushes down to m = a*n, tw = b*n.  One loop over the summands
-    s = 0..ell-1 writes out _rows and _side: summand s has the direct-image
-    row mtw = [(m+s)/ell] - s(p+1)/ell, t = s*p + tw, and mtw >= 0 gives a
-    pi_* side S^mtw(E) (x) Nl^t, mtw <= -2 an R^1 pi_* side
-    S^(-mtw-2)(E)^v (x) Nl^(t-ell), mtw = -1 neither.  The Leray index rule
-    (LERAY) is j = i - dualized: a pi_* side feeds h^i through its curve
-    h^i when i <= 1, an R^1 pi_* side through its curve h^(i-1) when
-    i >= 1.  Only those sides are bounded, so h^0 at n < 0 and h^2 once
-    every mtw >= -1 bound nothing.  The ends from the curve rules' int core
-    (_rule_bounds) are summed as ints, with no row list and no record per
-    summand, and one Cert is built at the end, which validates the sum
-    (_rule_bounds says why no per-side check is lost).  Nothing is cached;
-    the result equals surface_cert(params, n, a, b).h(i).
+    Z_{a,b}^n pushes down to m = a*n, tw = b*n, and _terms gives each
+    summand's side.  The Leray index rule (LERAY) is j = i - dualized: a
+    pi_* side feeds h^i through its curve h^i when i <= 1, an R^1 pi_* side
+    through its curve h^(i-1) when i >= 1.  Only those sides are bounded,
+    so h^0 at n < 0 and h^2 once every mtw >= -1 bound nothing.  The ends
+    from the curve rules' int core (_rule_bounds) are summed as ints, with
+    no record per summand, and one Cert is built at the end, which
+    validates the sum (_rule_bounds says why no per-side check is lost).
+    Nothing is cached; the result equals surface_cert(params, n, a, b).h(i).
     """
     _check_degree(i)
-    ell, p, q = params.ell, params.p, _mstep(params)
-    m, t = a * n, b * n
-    # _rule_bounds gives (chi, h^0 lo, h^0 hi, h^1 lo, h^1 hi): curve h^j's
-    # ends sit at 1 + 2j and 2 + 2j.
-    push = 1 + 2 * i  # curve h^i of a pi_* side, read when i <= 1
-    derived = 2 * i - 1  # curve h^(i-1) of an R^1 pi_* side, read when i >= 1
     lo = hi = 0
-    for s in range(ell):
-        mtw = (m + s) // ell - s * q
-        if mtw >= 0:
-            if i < 2:
-                bounds = _rule_bounds(params, False, mtw, t)
-                lo += bounds[push]
-                hi += bounds[push + 1]
-        elif mtw < -1 and i:
-            bounds = _rule_bounds(params, True, -mtw - 2, t - ell)
-            lo += bounds[derived]
-            hi += bounds[derived + 1]
-        t += p
+    for _, _, side in _terms(params, a * n, b * n):
+        if side is not None:
+            j = i - side[0]
+            if 0 <= j <= 1:
+                # (chi, h^0 lo, h^0 hi, h^1 lo, h^1 hi): curve h^j's ends
+                # sit at 1 + 2j and 2 + 2j.
+                bounds = _rule_bounds(params, *side)
+                lo += bounds[1 + 2 * j]
+                hi += bounds[2 + 2 * j]
     return Cert(lo, hi)
 
 
@@ -269,15 +250,13 @@ def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
 
         (+)_{i=0..ell-1} H^0(C, S^(i(p+1)/ell - [(n+i)/ell] - 2)(E)^v (x) Nl^(i*p + n - ell)),
 
-    where a summand with mtw = -1 is the zero sheaf.  Each summand comes
-    from _rows and _side, and its h^0 ends are summed as ints into one Cert.
+    where a summand with mtw = -1 is the zero sheaf.  Each side comes from
+    _terms, and its h^0 ends are summed as ints into one Cert.
     """
     if n >= 0:
         raise ValueError("closed form only covers n < 0")
-    ell = params.ell
     lo = hi = 0
-    for mtw, t in _rows(params, n, n):
-        side = _side(ell, mtw, t)
+    for _, _, side in _terms(params, n, n):
         if side is not None:  # an R^1 pi_* side, as every mtw < 0
             _, h_lo, h_hi, _, _ = _rule_bounds(params, *side)
             lo += h_lo

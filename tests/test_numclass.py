@@ -115,9 +115,10 @@ def test_selfint_etilde():
 
 
 def test_canonical_X_values():
-    assert canonical_X(PS2) == ClassX(0, 5)
-    assert canonical_X(PS1) == ClassX(0, 5)
-    assert canonical_X(PS3) == ClassX(4, 7)
+    for params, want in ((PS2, ClassX(0, 5)), (PS1, ClassX(0, 5)), (PS3, ClassX(4, 7))):
+        kx = canonical_X(params)
+        assert type(kx) is ClassX
+        assert kx == want
 
 
 def test_canonical_X_adjunction_along_section(sweep_small):
@@ -262,3 +263,16 @@ def test_scalar_multiplication_from_either_side():
         ClassP(1, 0) + ClassX(1, 0)
     with pytest.raises(TypeError):
         ClassX(0, 1) - ClassP(0, 1)
+
+
+def test_a_class_on_P_never_equals_one_on_X():
+    # Same coefficients, different surfaces: neither == nor a dict key
+    # may confuse them, while equal classes on one surface still match.
+    p, x = ClassP(1, 0), ClassX(1, 0)
+    assert p != x and x != p
+    assert not (p == x or x == p)
+    assert {p: 1}.get(x) is None
+    assert {x: 1}.get(ClassX(1, 0)) == 1
+    assert {ClassX(1, 0), ClassX("1", 0)} == {x}
+    assert x == ClassX(Fraction(1), 0) and not (x != ClassX(Fraction(1), 0))
+    assert hash(p) == hash(x) == hash((1, 0))

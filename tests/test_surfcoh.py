@@ -43,17 +43,18 @@ from conftest import PS1, PS2, PS3, PS4
 # ---------------------------------------------------------------- decomposition
 
 
-def _oracle_decompose(params, n):
+def _oracle_decompose(params, m, tw):
     # Independent enumeration: push each graded piece M^i (exact fractions,
-    # then certified-integral) through the twist.  The E-twist of summand i
-    # comes from the valuation condition, whatever the sign of n: f*z^i
-    # (z^ell = the equation of E) has a pole of order at most n along Etilde
-    # iff ell*v_E(f) + i >= -n, i.e. v_E(f) >= ceil((-n-i)/ell).
+    # then certified-integral) through the twist O_X(m*Etilde) (x) phi^* Nl^tw.
+    # The E-twist of summand i comes from the valuation condition, whatever
+    # the sign of m: f*z^i (z^ell = the equation of E) has a pole of order
+    # at most m along Etilde iff ell*v_E(f) + i >= -m, i.e.
+    # v_E(f) >= ceil((-m-i)/ell); the Nl twist tw adds to the i*p of M^i.
     ell, p = params.ell, params.p
     drop = [Fraction(i * (p + 1), ell) for i in range(ell)]
     assert all(d.denominator == 1 for d in drop)
     drop = [int(d) for d in drop]
-    return [PTerm(-math.ceil(Fraction(-n - i, ell)) - drop[i], i * p + n) for i in range(ell)]
+    return [PTerm(-math.ceil(Fraction(-m - i, ell)) - drop[i], i * p + tw) for i in range(ell)]
 
 
 def test_decompose_examples():
@@ -74,12 +75,25 @@ TANGO1019 = SurfaceParams(1019, 519691, 1020, 1020, 1020, Structure.TANGO)
 
 
 def test_decompose_matches_oracle(sweep_small):
+    # The one independent check of the row for m != tw: Z_{a,b}^n pushes
+    # down to m = a*n, tw = b*n.  For n < 0 every mtw is negative, the
+    # premise of h1neg_closed_form and of h0_zero_negative.
     cases = [(f, range(-12, 13)) for f in sweep_small[:25]]
-    cases.append((ELL24, range(-72, 73)))
+    cases += [(ELL24, range(-72, 73)), (TANGO1019, range(-3, 4))]
+    cells = 0
     for f, ns in cases:
-        for n in ns:
-            assert list(decompose_twist(f, n, n)) == _oracle_decompose(f, n), (f, n)
-            assert len(decompose_twist(f, n, n)) == f.ell
+        for a, b in {(1, 1), (2, 1), (1, f.ell - 1)}:
+            for n in ns:
+                terms = decompose_twist(f, a * n, b * n)
+                assert list(terms) == _oracle_decompose(f, a * n, b * n), (f, n, a, b)
+                assert len(terms) == f.ell
+                if n < 0:
+                    assert all(term.mtw < 0 for term in terms), (f, n, a, b)
+                cells += 1
+    # (1, ell-1) is (1, 1) at ell = 2: 8 of the 25 sweep tuples have ell = 2
+    # and 17 ell = 3, so 25 * (8 * 2 + 17 * 3) on them, 145 * 3 on ELL24
+    # and 7 * 3 on TANGO1019.
+    assert cells == 25 * 67 + 145 * 3 + 7 * 3
 
 
 def test_decompose_twist_generalizes():
@@ -244,9 +258,9 @@ def test_cache_bound_drops_no_hit_and_stays_bounded(sweep_acceptance, capsys):
 
 def test_h_surface_equals_full_certificate(sweep_acceptance):
     # The degree-only query certifies a subset of the sides surface_cert
-    # certifies and must sum them to the same interval.  h_surface writes
-    # the direct-image row and the reduction rule out inline, surface_cert
-    # reads them from _rows and _side: two codings, compared here.
+    # certifies and must sum them to the same interval: h_surface's
+    # per-degree side selection (j = i - dualized) against surface_cert's
+    # all-degree pass over the same _terms.
     cases = []
     for f in sweep_acceptance:
         keys = [(n, 1, 1) for n in range(-30, f.p * (f.p + 1) + 3 * f.ell + 1)]
@@ -289,6 +303,8 @@ def _leray_reference(f, n, a, b):
 
 
 def test_integer_sums_match_the_cert_chain(sweep_small):
+    # The int sums of surface_cert and h_surface against the chain of
+    # validated Certs of _leray_reference.
     # certify always bounds hi, so these sums never meet hi = None and every
     # surface certificate is bounded; test_cert_addition pins the hi = None
     # rule of Cert.__add__.  (1, ell-1) gives the Nl exponent b > 1 wherever
@@ -452,7 +468,9 @@ def test_h1neg_closed_form_examples():
 
 
 def test_closed_forms_agree_with_engine(sweep_small):
-    # h1neg_closed_form reads _rows and _side, h_surface its inline copy.
+    # The closed form adds the curve h^0 of every side with no Leray
+    # dispatch, so it equals h_surface's h^1 only if, as it assumes, every
+    # side of Z^n with n < 0 is an R^1 pi_* side.
     cases = [(f, range(-30, 0)) for f in sweep_small[:25]]
     cases += [(ELL24, range(-NMAX, 0)), (TANGO1019, range(-3, 0))]
     for f, ns in cases:
