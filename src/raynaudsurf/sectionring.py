@@ -5,7 +5,8 @@ gives H^0_m(R) = 0, the short exact sequence
 0 -> R -> (+)_n H^0(X, Z^n) -> H^1_m(R) -> 0 (whose cokernel vanishes
 degree-wise, since R_n is all of H^0 for n >= 0 and H^0 = 0 for n < 0), and
 H^{i+1}_m(R) = (+)_n H^i(X, Z^n) for i >= 1.  So the interesting graded
-pieces are exactly the surface certificates computed in surfcoh, reindexed.
+pieces are exactly the surface certificates computed in surfcoh, reindexed,
+and each piece is one degree: it reads the one-degree query h_surface.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 from .curvecoh import Cert, ZERO_CERT
 from .params import SurfaceParams
-from .surfcoh import surface_cert
+from .surfcoh import h_surface
 
 __all__ = ["LocalCohReport", "local_cohomology", "local_cohomology_report", "nonzero_negative_degrees"]
 
@@ -24,16 +25,13 @@ DIM_R = 3
 def local_cohomology(params: SurfaceParams, j: int, n: int) -> Cert:
     """Certificate for the degree-n piece of H^j_m(R), j in 0..3.
 
-    j = 2 and j = 3 read one cached surface_cert per n, so a window report
-    certifies each twist once.
+    [H^j_m(R)]_n = H^(j-1)(X, Z^n) for j = 2, 3, so each such piece is
+    h_surface(params, j - 1, n), which bounds only the sides that degree
+    reads and keeps nothing.
     """
-    if j in (0, 1):
-        return ZERO_CERT
-    if j == 2:
-        return surface_cert(params, n).h1
-    if j == 3:
-        return surface_cert(params, n).h2
-    raise ValueError(f"j must lie in 0..{DIM_R}, got {j}")
+    if j not in range(DIM_R + 1):
+        raise ValueError(f"j must lie in 0..{DIM_R}, got {j}")
+    return h_surface(params, j - 1, n) if j >= 2 else ZERO_CERT
 
 
 class LocalCohReport(NamedTuple):

@@ -24,13 +24,14 @@ generator _terms yields every summand's (mtw, t) with its one curve sheaf
 from _side, the reduction rule, and every reader iterates it.
 decompose_twist builds the public PTerm records from it and reduce_term
 the TwistedSym ones from _side.  surface_cert certifies each present side
-and sums by the Leray rule LERAY; h_surface, the one-degree query
-theorem_predicates asks on every tuple of a sweep, and h1neg_closed_form,
-the n < 0 sum for h^1, add the ints of the curve rules' core _rule_bounds
-over the sides they read.  theorem_predicates takes its vanishing claims
-from proofs on that same table (h^0 for n < 0, h^2 from p(p+1) on, h^1
-below the window for p = 2, 3), stores each once as an n-range, and asks
-the engine only for the rest; ThmReport.entries expands the ranges into
+and sums by the Leray rule LERAY, for `table`, which prints chi and the
+terms; h_surface, the one-degree query of theorem_predicates and of the
+section ring, and h1neg_closed_form, the n < 0 sum for h^1, add the ints
+of the curve rules' core _rule_bounds over the sides they read.
+theorem_predicates takes its vanishing claims from proofs on that same
+table (h^0 for n < 0, h^2 from p(p+1) on, h^1 below the window for
+p = 2, 3), stores each once as an n-range, and asks the engine only for
+the rest; ThmReport.entries expands the ranges into
 one entry per n.  The independent checks of the engine live in the
 tests: Riemann-Roch from numclass, Serre duality on the smooth (Tango)
 tuples, the exact-fraction row oracle of test_decompose_matches_oracle,
@@ -65,9 +66,8 @@ __all__ = [
 ]
 
 # |n| cap on every CLI twist window.  One window, 2*NMAX + 1 = 201 twists,
-# is also surface_cert's cache size: neither `table` nor `section-ring`
-# reuses a twist from further back (the argument is in surface_cert's
-# docstring).
+# is also surface_cert's cache size: `table` reuses no twist from further
+# back (the argument is in surface_cert's docstring).
 NMAX = 100
 
 
@@ -182,11 +182,10 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     A query for one degree should use h_surface, which bounds only the
     sides that degree reads.
 
-    The cache serves the window commands, `table` and `section-ring`.  It
-    keeps the last 2*NMAX + 1 = 201 twists, one CLI window, and neither
-    command asks for a twist again after more than 2*NMAX others: `table`
-    loops over i outside n and `section-ring` over j outside n, so a twist
-    recurs after the other 2*NMAX.  So the bound drops no hit.
+    The cache serves `table`, the one command that prints chi and terms.
+    It keeps the last 2*NMAX + 1 = 201 twists, one CLI window, and `table`
+    loops over i outside n, so a twist recurs after the other 2*NMAX at
+    most.  So the bound drops no hit.
     """
     lo = [0, 0, 0]
     hi = [0, 0, 0]

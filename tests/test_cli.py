@@ -318,6 +318,32 @@ def test_section_ring_slice(capsys):
     assert blob["pieces"]["3,7"] == {"kind": "exact", "lo": 0, "hi": 0}
 
 
+TANGO1019_FLAGS = ["-p", "1019", "-g", "519691", "--dD", "1020", "-e", "1020", "--ell", "1020", "--tango"]
+
+
+def test_section_ring_never_reads_surface_records(capsys, monkeypatch):
+    # The section ring's pieces are single degrees, read through h_surface.
+    # surface_cert builds ell TermReduction records per twist and caches
+    # them, so a +-100 window at ell = 1020 would hold about 200000 records;
+    # if section-ring ever goes back to it, this run raises.
+    from raynaudsurf import h_surface, sectionring, surfcoh
+    from raynaudsurf.params import validate
+
+    def boom(*args, **kwargs):
+        raise AssertionError("section-ring read surface_cert")
+
+    for mod in (surfcoh, sectionring, sys.modules["raynaudsurf.cli"]):
+        if hasattr(mod, "surface_cert"):
+            monkeypatch.setattr(mod, "surface_cert", boom)
+    code, out, _ = run_cli(capsys, ["section-ring", *TANGO1019_FLAGS, "--nmin", "-2", "--nmax", "2"])
+    assert code == 0
+    pieces = json.loads(out)["pieces"]
+    params = validate(1019, 519691, 1020, 1020, 1020, "tango")
+    for n in range(-2, 3):
+        for j in (2, 3):
+            assert pieces[f"{j},{n}"] == h_surface(params, j - 1, n).to_json(), (j, n)
+
+
 def test_theorem_contradiction_exits_3(capsys, monkeypatch):
     import raynaudsurf.cli as cli_mod
     from raynaudsurf.surfcoh import TheoremContradicted
@@ -649,6 +675,8 @@ def golden_commands() -> dict[str, list[str]]:
     cmds["table PS3 json n=0"] = ["table", *PS3_FLAGS, "--nmin", "0", "--nmax", "0"]
     cmds["table PS3 Z_1,3"] = ["table", *PS3_FLAGS, *WINDOW, "--a", "1", "--b", "3"]
     cmds["section-ring PS1"] = ["section-ring", *PS1_FLAGS, *WINDOW]
+    cmds["section-ring PS1 pretty"] = [*cmds["section-ring PS1"], "--format", "pretty"]
+    cmds["section-ring PS3"] = ["section-ring", *PS3_FLAGS, *WINDOW]
     cmds["invariants PS3"] = ["invariants", *PS3_FLAGS]
     # Both K_X fields false, and the pretty layout.
     cmds["invariants PS1"] = ["invariants", *PS1_FLAGS]
@@ -695,6 +723,8 @@ GOLDEN_MD5 = {
     "table PS3 json n=0": "ec7d5f053c57777bfa936d0227d944e3",
     "table PS3 Z_1,3": "b97dcd50c107d2fc7c6ca856412b55cf",
     "section-ring PS1": "cf973b2211edf452cbd2371632979bc4",
+    "section-ring PS1 pretty": "2a7740f6281199929840380ce8c0e6e6",
+    "section-ring PS3": "99d680eb367a4f8c3a43f615783e1f70",
     "invariants PS3": "952c5891dcfc7b6656c712ef3e4fe784",
     "invariants PS1": "2805c37f0b47360454c9bb90fa0db773",
     "invariants PS4 pretty": "4c56177b5b0e41dec2ee9671d2011a05",

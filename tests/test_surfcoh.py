@@ -22,6 +22,7 @@ from raynaudsurf import (
     certify,
     chi,
     decompose_twist,
+    enumerate_families,
     h1_nonvanishing_window,
     h1neg_closed_form,
     h_surface,
@@ -161,6 +162,49 @@ def test_chi_matches_riemann_roch(sweep_acceptance):
     assert misses == [], (len(misses), misses[:5])
 
 
+def _noether_defects(structure):
+    """(tuple, 12*chi(O_X) - K_X^2 - 4(1-g)) over the 2083 tuples of one structure.
+
+    chi(O_X) is the engine's surface_cert(f, 0).chi and K_X^2 comes from
+    numclass, so the two never share a computation.
+    """
+    for f in enumerate_families(13, 40, 40):
+        if f.structure is structure:
+            kx = canonical_X(f)
+            yield f, 12 * surface_cert(f, 0).chi - intersect_X(f, kx, kx) - 4 * (1 - f.g)
+
+
+def test_chi_of_structure_sheaf_matches_noether_on_tango_tuples():
+    # An anchor for chi(O_X) itself, which test_chi_matches_riemann_roch
+    # takes from the engine.  On a Tango tuple X is smooth, so Noether's
+    # formula 12*chi(O_X) = K_X^2 + e(X) holds in every characteristic
+    # (Hartshorne V, Remark 1.6.1, e the l-adic Euler characteristic).  X -> P
+    # is a tame cyclic cover (p does not divide ell) branched along E and
+    # C', each homeomorphic to C, so
+    # e(X) = ell*e(P) - (ell-1)(e(E) + e(C')) = 4(1-g).
+    defects = list(_noether_defects(Structure.TANGO))
+    assert len(defects) == 114
+    assert [f for f, d in defects if d] == []
+
+
+def test_noether_defect_on_pre_tango_tuples():
+    """On a pre-Tango tuple the Noether defect is (p-1)(ell-1)*deg R.
+
+    Here omega_C = Nl^(p*ell)(R) with R effective of degree
+    2g-2 - p*dD, so each point of R adds (p-1)(ell-1) = 2*fiber_genus to
+    12*chi(O_X) - K_X^2 - 4(1-g).  The identity is measured only, not
+    proved: over a point of R, X is locally z^ell = h with h the local
+    equation of C', which is singular there, and a proof would need the
+    resolution of that singularity to compare chi(O_X) with Noether's
+    formula on a smooth model.  It held on all 1969 pre-Tango tuples of
+    the 2083, and on the 21081 of enumerate_families(47, 100, 96).
+    """
+    defects = list(_noether_defects(Structure.PRETANGO))
+    assert len(defects) == 1969
+    misses = [f for f, d in defects if d != (f.p - 1) * (f.ell - 1) * (2 * f.g - 2 - f.p * f.dD)]
+    assert misses == []
+
+
 def _intervals_meet(c, d):
     hi = min(x for x in (c.hi, d.hi, math.inf) if x is not None)
     return max(c.lo, d.lo) <= hi
@@ -235,17 +279,22 @@ def test_term_records_carry_reductions():
 
 
 def test_cache_bound_drops_no_hit_and_stays_bounded(sweep_acceptance, capsys):
-    # Each window command's reuse must fit in surface_cert's 2*NMAX + 1
-    # entries: the counts are those of an unbounded cache.  theorem_predicates
-    # reads degree-only h_surface, so a sweep never reaches the cache, and
-    # certify keeps nothing.
+    # table's reuse must fit in surface_cert's 2*NMAX + 1 entries: the
+    # counts are those of an unbounded cache.  section-ring and
+    # theorem_predicates read degree-only h_surface, so neither a window of
+    # the section ring nor a sweep reaches the cache, and certify keeps
+    # nothing.
     flags = ["-p", "2", "-g", "4", "--dD", "3", "-e", "3", "--ell", "3", "--tango"]
     window = ["--nmin", str(-NMAX), "--nmax", str(NMAX)]
-    for argv, hits in ((["table", *flags, "--i", "0,1,2", *window], 402), (["section-ring", *flags, *window], 201)):
+    cases = (
+        (["table", *flags, "--i", "0,1,2", *window], (2 * NMAX + 1, 402)),
+        (["section-ring", *flags, *window], (0, 0)),
+    )
+    for argv, counts in cases:
         surface_cert.cache_clear()
         assert main(argv) == 0
         info = surface_cert.cache_info()
-        assert (info.misses, info.hits) == (2 * NMAX + 1, hits), argv
+        assert (info.misses, info.hits) == counts, argv
     capsys.readouterr()
 
     surface_cert.cache_clear()
@@ -391,16 +440,17 @@ def test_h0_and_h2_checks_certify_nothing(sweep_acceptance, rule_calls):
     # h0_zero_negative, h2_vanishes_high and h1_zero_below_window come from
     # proofs and read no curve certificate.  So the curve-rule calls of
     # theorem_predicates are those of its h1_nonzero_near_zero entries: one
-    # per present side of each of their terms (h^1 reads both sides).
+    # per present side of each of their terms (h^1 reads both sides).  A
+    # term has a side exactly when mtw != -1, counted from the row alone,
+    # not through _side.
     for f in sweep_acceptance:
         rule_calls[0] = 0
         report = theorem_predicates(f)
         h1_sides = sum(
-            side is not None
+            term.mtw != -1
             for e in report.entries
             if e.theorem == "h1_nonzero_near_zero"
             for term in decompose_twist(f, e.n, e.n)
-            for side in reduce_term(f, term)
         )
         assert rule_calls[0] == h1_sides, f
 
