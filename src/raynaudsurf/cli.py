@@ -189,6 +189,16 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _table_line(fmt: str, i: int, n: int, c: Cert, chi: int) -> str:
+    """One `table` row as its line of text; a JSON row stops before its terms."""
+    if fmt == "json":
+        return f'{{"i":{i},"n":{n},"h":{{{_cert_fields(c)}}},"chi":{chi},"terms":\n'
+    if fmt == "csv":
+        # Ints and a Cert kind: no field ever needs quoting.
+        return f"{i},{n},{c.kind},{c.lo},{'' if c.hi is None else c.hi},{chi}\n"
+    return f"  i={i} n={n:>4} {str(c):>16} chi={chi}\n"
+
+
 def _parse_i_list(raw: str) -> list[int]:
     try:
         ivals = [int(tok) for tok in raw.split(",") if tok != ""]
@@ -205,35 +215,39 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.a < 1 or not 1 <= args.b:
         raise SystemExit2("--a and --b must be >= 1")
     ivals = _parse_i_list(args.i)
-    rows = []
-    for i in ivals:
-        for n in range(args.nmin, args.nmax + 1):
+    as_json = args.format == "json"
+    # The whole window is certified before the first byte is written, so an
+    # error leaves stdout empty.  surface_cert keeps one twist, and a twist
+    # leaves behind only the text the format prints: each cell's row, as
+    # one line of its degree's buffer so that rows come out in (i, n)
+    # order, and for JSON the twist's terms, encoded once (_term_json) for
+    # the rows of all its degrees.  The rows are ASCII, and a bytearray
+    # holds them at one byte a character, not as one object per row.
+    lines = {i: bytearray() for i in ivals}
+    terms: list[str] = []
+    for n in range(args.nmin, args.nmax + 1):
+        for i in ivals:
             sc = surface_cert(params, n, args.a, args.b)
-            rows.append((i, n, sc))
+            lines[i] += _table_line(args.format, i, n, sc.h(i), sc.chi).encode()
+        if as_json:
+            terms.append(f"[{','.join(map(_term_json, sc.terms))}]")
     out = sys.stdout
-    if args.format == "json":
-        # Streamed, with the bytes of one json.dumps of the whole object,
-        # written as text (_term_json).  Every twist is certified above, so
-        # an error leaves stdout empty; a twist's terms are encoded once
-        # and reused for each degree.
+    if as_json:
+        # The bytes of one json.dumps of the whole object, written as text.
         out.write(f'{{"params":{_params_json(params)},"a":{args.a},"b":{args.b},"rows":[')
-        terms: dict[int, str] = {}
-        for k, (i, n, sc) in enumerate(rows):
-            if n not in terms:
-                terms[n] = f"[{','.join(map(_term_json, sc.terms))}]"
-            sep = "," if k else ""
-            out.write(f'{sep}{{"i":{i},"n":{n},"h":{{{_cert_fields(sc.h(i))}}},"chi":{sc.chi},"terms":{terms[n]}}}')
+        sep = ""
+        for i in ivals:
+            for head, twist_terms in zip(lines.pop(i).decode().splitlines(), terms):
+                out.write(f"{sep}{head}{twist_terms}}}")
+                sep = ","
         out.write("]}\n")
-    elif args.format == "csv":
-        # Ints and a Cert kind: no field ever needs quoting.
-        out.write("i,n,kind,lo,hi,chi\n")
-        for (i, n, sc) in rows:
-            c = sc.h(i)
-            out.write(f"{i},{n},{c.kind},{c.lo},{'' if c.hi is None else c.hi},{sc.chi}\n")
     else:
-        print(f"h^i(X, Z_{{{args.a},{args.b}}}^n) for {params.to_json()}")
-        for (i, n, sc) in rows:
-            print(f"  i={i} n={n:>4} {str(sc.h(i)):>16} chi={sc.chi}")
+        if args.format == "csv":
+            out.write("i,n,kind,lo,hi,chi\n")
+        else:
+            out.write(f"h^i(X, Z_{{{args.a},{args.b}}}^n) for {params.to_json()}\n")
+        for i in ivals:
+            out.write(lines.pop(i).decode())
     return 0
 
 
@@ -428,8 +442,9 @@ def run() -> None:
     window or the sweep, so memory stays bounded without it.
 
     The certificate records are NamedTuple subclasses, which the cyclic GC
-    keeps tracking (it un-tracks only exact tuples), so a finished table
-    leaves tens of thousands of tracked objects, and interpreter
+    keeps tracking (it un-tracks only exact tuples), so the twist a finished
+    table leaves in surface_cert's memo is thousands of tracked objects at
+    large ell, and interpreter
     finalization, which collects even when the collector is off, would
     traverse them in more than one collection.  gc.freeze() moves them out
     of every generation first, in a `finally`, so it also runs after

@@ -12,12 +12,12 @@ step = +-ell*dNl, so every rule reads them through the progression's
 endpoints and one arithmetic series: a certificate costs O(1) in m.
 The rules live in one private function on ints, _rule_bounds, which
 returns (chi, h^0 lo, h^0 hi, h^1 lo, h^1 hi); certify wraps its result
-in a CohCert.  surface_cert certifies each side of a `table` twist, and
-caches the sums; h_surface (the degree query of `theorems` and
-`section-ring`) and h1neg_closed_form read _rule_bounds directly on the
-sides surfcoh's _terms yields, sum the ints and build one Cert.  No
-certificate is kept once it is returned: no sheaf recurred on the
-benchmark workloads.
+in a CohCert.  surface_cert certifies each side of a `table` twist and
+sums them, holding one twist at a time; h_surface (the degree query of
+`theorems` and `section-ring`) and h1neg_closed_form read _rule_bounds
+directly on the sides surfcoh's _terms yields, sum the ints and build
+one Cert.  No certificate is kept once it is returned: no sheaf recurred
+on the benchmark workloads.
 
 In the middle degree range the true dimensions depend on the extension class
 of E, which degree data cannot see, so certificates there are intervals,

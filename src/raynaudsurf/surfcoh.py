@@ -65,9 +65,7 @@ __all__ = [
     "theorem_predicates",
 ]
 
-# |n| cap on every CLI twist window.  One window, 2*NMAX + 1 = 201 twists,
-# is also surface_cert's cache size: `table` reuses no twist from further
-# back (the argument is in surface_cert's docstring).
+# |n| cap on every CLI twist window: at most 2*NMAX + 1 = 201 twists.
 NMAX = 100
 
 
@@ -170,7 +168,7 @@ class SurfCert(NamedTuple):
         return (self.h0, self.h1, self.h2)[i]
 
 
-@lru_cache(maxsize=2 * NMAX + 1)
+@lru_cache(maxsize=1)
 def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfCert:
     """All certificates for H^*(X, Z_{a,b}^n), with every term; Z = Z_{1,1}.
 
@@ -182,10 +180,10 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     A query for one degree should use h_surface, which bounds only the
     sides that degree reads.
 
-    The cache serves `table`, the one command that prints chi and terms.
-    It keeps the last 2*NMAX + 1 = 201 twists, one CLI window, and `table`
-    loops over i outside n, so a twist recurs after the other 2*NMAX at
-    most.  So the bound drops no hit.
+    The one-entry memo serves `table`, the one command that prints chi and
+    terms.  `table` asks for each twist once per degree, all degrees of a
+    twist in a row, so one entry loses no hit, and keeps from a twist only
+    the text it prints.
     """
     lo = [0, 0, 0]
     hi = [0, 0, 0]

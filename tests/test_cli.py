@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -674,6 +675,10 @@ def golden_commands() -> dict[str, list[str]]:
     cmds["table PS3 json i=1"] = ["table", *PS3_FLAGS, *WINDOW, "--i", "1"]
     cmds["table PS3 json n=0"] = ["table", *PS3_FLAGS, "--nmin", "0", "--nmax", "0"]
     cmds["table PS3 Z_1,3"] = ["table", *PS3_FLAGS, *WINDOW, "--a", "1", "--b", "3"]
+    # Degree subsets, one listed out of order: rows print in (i, n) order
+    # though the window is certified twist by twist.
+    cmds["table PS3 csv i=2,0"] = ["table", *PS3_FLAGS, *WINDOW, "--format", "csv", "--i", "2,0"]
+    cmds["table PS1 Z_2,1 pretty i=0,2"] = [*cmds["table PS1 Z_2,1"], "--format", "pretty", "--i", "0,2"]
     cmds["section-ring PS1"] = ["section-ring", *PS1_FLAGS, *WINDOW]
     cmds["section-ring PS1 pretty"] = [*cmds["section-ring PS1"], "--format", "pretty"]
     cmds["section-ring PS3"] = ["section-ring", *PS3_FLAGS, *WINDOW]
@@ -722,6 +727,8 @@ GOLDEN_MD5 = {
     "table PS3 json i=1": "691f5f4e642a23d3fc5196552005a061",
     "table PS3 json n=0": "ec7d5f053c57777bfa936d0227d944e3",
     "table PS3 Z_1,3": "b97dcd50c107d2fc7c6ca856412b55cf",
+    "table PS3 csv i=2,0": "56f36fcbfb0a9c0bc6cd17f92edf0564",
+    "table PS1 Z_2,1 pretty i=0,2": "2591c494872e56ed290ae1ac743f9934",
     "section-ring PS1": "cf973b2211edf452cbd2371632979bc4",
     "section-ring PS1 pretty": "2a7740f6281199929840380ce8c0e6e6",
     "section-ring PS3": "99d680eb367a4f8c3a43f615783e1f70",
@@ -840,6 +847,36 @@ def test_buffering_mode_never_changes_bytes(label):
 # ------------------------------------------------------------ bounded work
 
 
+def peak_traced_bytes(argv) -> int:
+    """tracemalloc's peak over main(argv), with the cyclic collector off as in run()."""
+    from raynaudsurf import surface_cert
+
+    surface_cert.cache_clear()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+        surface_cert.cache_clear()
+
+
+def test_table_memory_does_not_grow_with_the_window():
+    # surface_cert keeps one twist, and a twist leaves behind only its
+    # printed rows, so a +-100 window costs little more than a +-10 one.
+    # Holding the ell = 24 term records of every twist made it about 8x.
+    narrow, wide = (["table", *ELL24_FLAGS, "--nmin", str(-w), "--nmax", str(w), "--format", "csv"] for w in (10, 100))
+    peak_traced_bytes(narrow)  # argparse's first-call allocations are no table's
+    small, large = peak_traced_bytes(narrow), peak_traced_bytes(wide)
+    assert large <= 1.5 * small, (small, large)
+
+
 def test_table_huge_polarization_exponent(capsys):
     # Z_{a,1} with a = 10**9 pushes forward to S^m(E) with m near a/ell.
     from raynaudsurf import canonical_X, intersect_X, polarization_class, surface_cert
@@ -900,6 +937,35 @@ def test_public_surface():
     assert len(set(raynaudsurf.__all__)) == len(raynaudsurf.__all__)
     for name in raynaudsurf.__all__:
         assert hasattr(raynaudsurf, name), name
+
+
+def readme_library_session() -> list[str]:
+    """The lines of the README's "quick library session" code block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("A quick library session:", 1)[1].split("```python\n", 1)[1]
+    return block.split("```", 1)[0].splitlines()
+
+
+def test_readme_library_session_shows_true_values():
+    # Each expression line's comment opens with the value it shows: that
+    # must be str() of what the line evaluates to.
+    namespace: dict = {}
+    shown = []
+    for line in readme_library_session():
+        code, _, comment = line.partition("#")
+        try:
+            expr = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        value = eval(expr, namespace)
+        shown.append(comment.split()[0].rstrip(":,"))
+        assert str(value) == shown[-1], line
+    assert shown == ["Exact(1)", "Exact(0)", "3", "()", "91"]
+    # The comments' other figures: h0 - h1 + h2 = 0 - 1 + 4, and 5 claims.
+    params, surface_cert, theorem_predicates = (namespace[k] for k in ("params", "surface_cert", "theorem_predicates"))
+    assert [str(c) for c in surface_cert(params, -1)[:3]] == ["Exact(0)", "Exact(1)", "Exact(4)"]
+    assert len(theorem_predicates(params).claims) == 5
 
 
 # ------------------------------------------------------------------- records

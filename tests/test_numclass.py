@@ -148,13 +148,38 @@ def test_is_ample_P_examples():
             assert is_ample_P(PS1, a) == edges, a
 
 
+def branch_edge_X(f) -> ClassX:
+    """C~' = ClassX(p, -p*dNl), the reduced preimage of the branch curve: psi^*C' = ell*C~'."""
+    edge = ClassX(f.p, -f.p * f.dNl)
+    assert pullback_psi(f, branch_curve_class(f)) == f.ell * edge
+    return edge
+
+
+def positive_on_X(f, z: ClassX) -> bool:
+    """Z^2 > 0 and Z positive on Etilde and on both curve-cone edges, a fiber and C~'.
+
+    In characteristic p the fiber and Etilde do not bound the curve cone:
+    C~' has C~'.Etilde = 0 and C~'^2 < 0, so it must be tested itself.
+    """
+    return all(intersect_X(f, z, c) > 0 for c in (z, ETILDE, FIBER_X, branch_edge_X(f)))
+
+
 def test_polarization_is_ample(sweep_small):
     for f in sweep_small:
         z = polarization_class(f)
         assert z == ClassX(1, f.dNl)
-        assert intersect_X(f, z, z) > 0
-        assert intersect_X(f, z, ETILDE) > 0
-        assert intersect_X(f, z, FIBER_X) > 0
+        assert positive_on_X(f, z), f
+        assert intersect_X(f, z, branch_edge_X(f)) == f.p * f.dNl
+
+
+def test_ampleness_check_on_X_reads_the_branch_edge():
+    # ClassX(3, -1) on PS1 passes the three characteristic-0 products but
+    # meets the edge C~' negatively, so it is not ample.
+    z, edge = ClassX(3, -1), branch_edge_X(PS1)
+    assert edge == ClassX(2, -2)
+    assert [intersect_X(PS1, z, c) for c in (z, ETILDE, FIBER_X)] == [3, 2, 3]
+    assert intersect_X(PS1, z, edge) == -2
+    assert not positive_on_X(PS1, z)
 
 
 def test_is_ample_KX_examples():
@@ -170,11 +195,8 @@ def test_is_ample_KX_matches_closed_form():
     for f in fams:
         ample = is_ample_KX(f)
         assert ample == ((f.p, f.ell) == (3, 4) or f.p >= 5), f
-        if ample:  # the degree tests imply the three Nakai-Moishezon products
-            kx = canonical_X(f)
-            assert intersect_X(f, kx, kx) > 0, f
-            assert intersect_X(f, kx, ETILDE) > 0, f
-            assert intersect_X(f, kx, FIBER_X) > 0, f
+        if ample:  # the degree tests imply the Nakai-Moishezon products, C~' included
+            assert positive_on_X(f, canonical_X(f)), f
 
 
 def test_li_class_values():

@@ -279,10 +279,11 @@ def test_term_records_carry_reductions():
 
 
 def test_cache_bound_drops_no_hit_and_stays_bounded(sweep_acceptance, capsys):
-    # table's reuse must fit in surface_cert's 2*NMAX + 1 entries: the
-    # counts are those of an unbounded cache.  section-ring and
+    # table asks surface_cert for all degrees of a twist in a row, so the
+    # one-twist memo serves as an unbounded cache would: one miss per twist
+    # and a hit for each further degree.  section-ring and
     # theorem_predicates read degree-only h_surface, so neither a window of
-    # the section ring nor a sweep reaches the cache, and certify keeps
+    # the section ring nor a sweep reaches the memo, and certify keeps
     # nothing.
     flags = ["-p", "2", "-g", "4", "--dD", "3", "-e", "3", "--ell", "3", "--tango"]
     window = ["--nmin", str(-NMAX), "--nmax", str(NMAX)]
