@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .params import SurfaceParams
+from .params import SurfaceParams, _Checked
 
 __all__ = [
     "RuleConflict",
@@ -55,14 +55,12 @@ class RuleConflict(RuntimeError):
     """Two certificate rules produced an empty interval: an internal bug."""
 
 
-# The fields alone: a NamedTuple class may not define __new__, so the
-# subclass below checks or coerces its input there.
 class _CertFields(NamedTuple):
     lo: int
     hi: int | None
 
 
-class Cert(_CertFields):
+class Cert(_Checked, _CertFields):
     """A certified interval for a cohomology dimension.
 
     lo is always a proven lower bound; hi, when present, a proven upper
@@ -81,11 +79,6 @@ class Cert(_CertFields):
         elif hi < lo:
             raise RuleConflict(f"empty certificate interval [{lo}, {hi}]")
         return tuple.__new__(cls, (lo, hi))
-
-    @classmethod
-    def _make(cls, iterable) -> "Cert":
-        # tuple._make, and so _replace, would bypass __new__.
-        return cls(*iterable)
 
     @classmethod
     def exact(cls, k: int) -> "Cert":

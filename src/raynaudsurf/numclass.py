@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .params import SurfaceParams
+from .params import SurfaceParams, _Checked
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -70,7 +70,7 @@ def _coeff(x: object) -> RatLike:
     return Fraction(x)
 
 
-class _Class(tuple):
+class _Class(_Checked):
     """==, +, - and scaling for ClassP and ClassX, which name and coerce the fields.
 
     A class on P never equals a class on X, though both hash as their
@@ -80,11 +80,6 @@ class _Class(tuple):
     __slots__ = ()
     # Defining __eq__ would otherwise set __hash__ to None.
     __hash__ = tuple.__hash__
-
-    @classmethod
-    def _make(cls, iterable):
-        # tuple._make, and so _replace, would bypass __new__.
-        return cls(*iterable)
 
     # tuple's own == and != would compare a class on P equal to one on X.
     def __eq__(self, other):
@@ -117,8 +112,6 @@ class _Class(tuple):
         return {name: frac_str(c) for name, c in zip(self._fields, self)}
 
 
-# The fields alone: a NamedTuple class may not define __new__, so the
-# subclasses below coerce their input there.
 class _ClassPFields(NamedTuple):
     cE: RatLike
     cf: RatLike

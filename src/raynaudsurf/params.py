@@ -139,8 +139,21 @@ def check(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> list[
     return bad
 
 
-# The fields alone: a NamedTuple class may not define __new__, so the
-# subclass below checks or coerces its input there.
+class _Checked(tuple):
+    """Base of the records whose __new__ checks or coerces their fields.
+
+    A NamedTuple may not define __new__, so such a record subclasses its
+    fields' NamedTuple; tuple._make, and so _replace, would then skip the
+    check, and this _make goes through __new__.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _SurfaceParamsFields(NamedTuple):
     p: int
     g: int
@@ -150,7 +163,7 @@ class _SurfaceParamsFields(NamedTuple):
     structure: Structure
 
 
-class SurfaceParams(_SurfaceParamsFields):
+class SurfaceParams(_Checked, _SurfaceParamsFields):
     """Validated tuple (p, g, dD, e, ell, structure).
 
     Construction is the one place a tuple is checked: it raises
@@ -165,11 +178,6 @@ class SurfaceParams(_SurfaceParamsFields):
         if bad:
             raise InvalidParams(bad)
         return tuple.__new__(cls, (p, g, dD, e, ell, _coerce_structure(structure)))
-
-    @classmethod
-    def _make(cls, iterable) -> "SurfaceParams":
-        # tuple._make, and so _replace, would bypass __new__.
-        return cls(*iterable)
 
     @property
     def dN(self) -> int:
@@ -234,5 +242,14 @@ def is_smooth(params: SurfaceParams) -> bool:
 
 
 def is_normal(params: SurfaceParams) -> bool:
-    """Every surface in the family is normal (hence Cohen-Macaulay)."""
+    """Every surface in the family is normal and Cohen-Macaulay (Serre's criterion).
+
+    Over the smooth ruled surface P, X is locally z^ell = h, with h a reduced
+    equation of the branch curve E + C' (E and C' disjoint): a hypersurface
+    in a smooth threefold, so Cohen-Macaulay and S2.  As p does not divide
+    ell (ell | p+1), the Jacobian criterion puts the singular points of X
+    over those of E + C', which are finitely many as the curve is reduced:
+    R1.  E is a section, and C' is smooth exactly when the tuple is Tango
+    (is_smooth).
+    """
     return True

@@ -633,6 +633,34 @@ def test_json_and_csv_load_only_where_output_needs_them(case):
     assert proc.stdout.split("\n") == ["", f"{code} True", loaded, "", ""]
 
 
+# The records are NamedTuples, so no call needs dataclasses or the inspect,
+# ast, dis and tokenize it imports: about 20 ms of every cold start.
+INTROSPECTION_CASES = {
+    "version": ["--version"],
+    "table": ["table", *PS1_FLAGS, "--nmin", "-2", "--nmax", "2"],
+    "theorems": ["theorems", "--pmax", "2", "--gmax", "4", "--ddmax", "3"],
+    "section-ring": ["section-ring", *PS1_FLAGS, "--nmin", "-3", "--nmax", "8"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTROSPECTION_CASES))
+def test_cold_call_loads_no_introspection_module(case):
+    # -S, as above: only the package can load these.
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import raynaudsurf.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    try:",
+        f"        raynaudsurf.cli.main({INTROSPECTION_CASES[case]!r})",
+        "    except SystemExit:",
+        "        pass",
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))",
+    ])
+    proc = run_python("-S", "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_layer_tracing_contract(capsys):
     # perfbench/tracing.py traces the CLI from outside: right after
     # `import raynaudsurf.cli` it looks the engine modules up in sys.modules,

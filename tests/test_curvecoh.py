@@ -402,3 +402,41 @@ def test_explicit_tango_curves_contain_every_line_bundle_certificate(sweep_accep
     assert violations == []
     # 294 of the 724 were Exact when the oracle landed; sharper rules may add more.
     assert sheaves == 724 and exact >= 294
+
+
+def test_explicit_tango_curves_contain_every_rank_p_certificate(sweep_acceptance):
+    """S^(p-1)(E) (x) Nl^t and its dual against line bundles on y^p - y = x^m.
+
+    On a Tango curve S^(p-1)(E) is F_*O_C, with F the Frobenius:
+      - O(D) -> B^1 = F_*O_C / O_C, from (df) = pD, pulls the sequence
+        0 -> O_C -> F_*O_C -> B^1 -> 0 back to 0 -> O_C -> E -> O(D) -> 0,
+        so E is a subsheaf of F_*O_C;
+      - the multiplication S^(p-1)(E) -> F_*O_C is generically injective:
+        at the generic point F_*O_C is K over K^p, of degree p, and E is
+        spanned by 1 and some phi not in K^p, so 1, phi, ..., phi^(p-1) are
+        independent;
+      - both sides have rank p and degree (p-1)(g-1): the quotients of
+        S^(p-1)(E) have degrees j*dD for j < p, and p*dD = 2g-2; and
+        chi(F_*O_C) = chi(O_C) = 1-g.
+    So the injection has no cokernel.  The projection formula then gives
+    h^i(S^(p-1)(E) (x) Nl^t) = h^i(Nl^(pt)), and duality for the finite
+    F, (F_*O_C)^v = F_*(omega_C^(1-p)) with omega_C = O(pD) = Nl^(p*ell),
+    gives h^i(S^(p-1)(E)^v (x) Nl^t) = h^i(Nl^(pt - (p-1)p*ell)).  Those
+    are semigroup counts, true values on one curve: the oracle may refute
+    a certificate but must never narrow one.
+    """
+    curves = [(f, m) for f in sweep_acceptance if (m := artin_schreier_m(f)) is not None]
+    sheaves, violations = 0, []
+    for params, m in curves:
+        p, g, dNl, ell = params.p, params.g, params.dNl, params.ell
+        # Past t = (2p-1)*ell both sheaves are nonspecial and certified exactly.
+        for t in range(-3, (2 * p - 1) * ell + 4):
+            for dualized, k in ((False, p * t), (True, p * t - (p - 1) * p * ell)):
+                h0 = semigroup_h0(p, m, k * dNl)
+                h1 = h0 - (k * dNl + 1 - g)
+                cc = certify(params, TwistedSym(dualized, p - 1, t))
+                sheaves += 1
+                if not (cc.h0.lo <= h0 <= cc.h0.hi and cc.h1.lo <= h1 <= cc.h1.hi):
+                    violations.append((params, t, dualized, cc.h0, h0, cc.h1, h1))
+    assert violations == []
+    assert sheaves == 1032
