@@ -308,8 +308,8 @@ def _rule_bounds(params: SurfaceParams, dualized: bool, m: int, t: int) -> tuple
     return c, lo, hi, lo1, hi1
 
 
-# Stores nothing (0 hits in 56114 calls on the three perfbench workloads, seed
-# 1: 0 sweep, as h_surface reads _rule_bounds, + 56089 tables + 25 large_p);
+# Stores nothing (0 hits in 43657 calls on the three perfbench workloads, seed
+# 1: 0 sweep, as h_surface reads _rule_bounds, + 43632 tables + 25 large_p);
 # cache_info() still counts calls.
 @lru_cache(maxsize=0)
 def certify(params: SurfaceParams, sheaf: TwistedSym) -> CohCert:

@@ -4,6 +4,8 @@ import functools
 import json
 import math
 import operator
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,10 +35,11 @@ from raynaudsurf import (
     result1_range,
     surface_cert,
     theorem_predicates,
+    validate,
     zab_nonvanishing,
 )
 from raynaudsurf.cli import main
-from raynaudsurf.surfcoh import LERAY, NMAX
+from raynaudsurf.surfcoh import LERAY, NMAX, _proven_claims
 
 from conftest import PS1, PS2, PS3, PS4
 
@@ -676,6 +679,48 @@ def test_report_expands_to_reference_listing(sweep_acceptance, nneg_min):
         blob = report.to_json()
         assert blob["checks"] == len(want)
         assert blob["confirmed"] == sum(e.verdict == "confirmed" for e in want)
+
+
+def test_shared_claims_follow_every_key_part():
+    # The proven claims are memoized on (p, ell, nneg_min).  In a seeded
+    # shuffle with a seeded nneg_min per call, consecutive calls often share
+    # two of the three key parts and differ in the third, so a memo key
+    # without p, ell or nneg_min hands a tuple another group's claims.  (A
+    # strict cycle of nneg_min would change it on every call and hide a key
+    # that drops p or ell.)
+    rng = random.Random(29)
+    tuples = list(enumerate_families(13, 40, 40))
+    rng.shuffle(tuples)
+    for f in tuples:
+        nneg_min = rng.choice((-NMAX, -40, -1))
+        assert theorem_predicates(f, nneg_min=nneg_min).entries == _reference_entries(f, nneg_min), (f, nneg_min)
+
+
+def test_sweep_builds_each_group_claims_once(sweep_acceptance):
+    # enumerate_families yields its tuples grouped by (p, ell), so the
+    # one-entry memo of the proven claims misses once per group.
+    for tuples, groups in ((list(enumerate_families(13, 40, 40)), 14), (sweep_acceptance, 8)):
+        _proven_claims.cache_clear()
+        for f in tuples:
+            theorem_predicates(f)
+        info = _proven_claims.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (groups, len(tuples) - groups, 1)
+    assert len(sweep_acceptance) == 340
+
+
+def test_theorem_memory_does_not_grow_with_ell():
+    # The memo keeps claims, not direct-image rows.  On this ell = 240 Tango
+    # tuple the report's peak is about 0.03 MB; caching the rows of its
+    # 120-twist window reads 6.7 MB.  (At ell = 1020 the peak is 0.115 MB,
+    # but tracemalloc slows that call from 0.8 to 19 s.)
+    _proven_claims.cache_clear()
+    tracemalloc.start()
+    try:
+        theorem_predicates(validate(239, 28681, 240, 240, 240, "tango"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20, peak
 
 
 def test_claims_serialize_as_json(sweep_small):
