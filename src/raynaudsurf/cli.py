@@ -288,8 +288,7 @@ def _cmd_theorems(args: argparse.Namespace) -> int:
     for f in enumerate_families(args.pmax, args.gmax, args.ddmax):
         tuples += 1
         report = theorem_predicates(f, nneg_min=args.nmin)
-        # Both properties walk the stored claims: read each once per report.
-        stronger, checks = report.stronger, report.checks
+        checks, stronger = report.tally()
         unresolved = len(stronger)
         if as_json:
             # The bytes of _dump(report.to_json()), written as text: the

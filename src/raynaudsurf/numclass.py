@@ -219,16 +219,14 @@ def li_class(params: SurfaceParams, i: int) -> ClassP:
     """The i-th twist L_i of K_P; in characteristic 0, all L_i ample gives H^1(X, K_X^{-1}) = 0.
 
     u_i = (p+1)(ell-1+i)/ell - 2 and
-    v_i = 2g-2 - (p*ell-p-ell+p*i)/ell * dD; both are integers because
-    ell | p+1 and ell | dD.
+    v_i = 2g-2 - (p*ell-p-ell+p*i)/ell * dD, read as integers through
+    (p+1)/ell = params.mstep and dD/ell = params.dNl:
+    u_i = mstep*(ell-1+i) - 2 and v_i = 2g-2 - (p*(ell-1+i) - ell)*dNl.
     """
     if not 0 <= i <= params.ell - 1:
         raise ValueError(f"i must lie in 0..ell-1, got {i}")
-    p, ell = params.p, params.ell
-    u, ru = divmod((p + 1) * (ell - 1 + i), ell)
-    dv, rv = divmod((p * ell - p - ell + p * i) * params.dD, ell)
-    assert ru == 0 and rv == 0
-    return ClassP(u - 2, 2 * params.g - 2 - dv)
+    k = params.ell - 1 + i
+    return ClassP(params.mstep * k - 2, 2 * params.g - 2 - (params.p * k - params.ell) * params.dNl)
 
 
 def kodaira_vanishing_KX(params: SurfaceParams) -> bool:

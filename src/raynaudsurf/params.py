@@ -96,10 +96,22 @@ def _coerce_structure(structure: object) -> Structure | None:
 
 def check(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> list[str]:
     """Return the complete list of violated constraints (empty when valid)."""
+    return _check_and_coerce(p, g, dD, e, ell, structure)[0]
+
+
+def _check_and_coerce(p, g, dD, e, ell, structure) -> tuple[list[str], Structure | None]:
+    """check's violations and the coerced structure, from one pass.
+
+    SurfaceParams.__new__ reads both, so a tuple is checked and its
+    structure coerced once.
+    """
     bad: list[str] = []
-    for name, v in (("p", p), ("g", g), ("dD", dD), ("e", e), ("ell", ell)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            bad.append(f"ConstraintViolated({name} is an integer): got {v!r}")
+    # Plain ints, the common case, pass in one chain; anything else (an int
+    # subclass included) goes through the per-field test and its messages.
+    if not (type(p) is int and type(g) is int and type(dD) is int and type(e) is int and type(ell) is int):
+        for name, v in (("p", p), ("g", g), ("dD", dD), ("e", e), ("ell", ell)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                bad.append(f"ConstraintViolated({name} is an integer): got {v!r}")
     typed = not bad
     st = _coerce_structure(structure)
     if st is None:
@@ -107,7 +119,7 @@ def check(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> list[
             f"ConstraintViolated(structure): {structure!r} is not 'tango' or 'pretango'"
         )
     if not typed:
-        return bad
+        return bad, st
     if p >= _MR_BOUND:
         bad.append(f"ConstraintViolated(p < {_MR_BOUND}): p = {p}")
     elif not is_prime(p):
@@ -136,7 +148,7 @@ def check(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> list[
         bad.append(
             f"ConstraintViolated(Tango forces p*dD = 2g-2): {p * dD} != {2 * g - 2}"
         )
-    return bad
+    return bad, st
 
 
 class _Checked(tuple):
@@ -174,10 +186,10 @@ class SurfaceParams(_Checked, _SurfaceParamsFields):
     __slots__ = ()
 
     def __new__(cls, p: int, g: int, dD: int, e: int, ell: int, structure: object):
-        bad = check(p, g, dD, e, ell, structure)
+        bad, st = _check_and_coerce(p, g, dD, e, ell, structure)
         if bad:
             raise InvalidParams(bad)
-        return tuple.__new__(cls, (p, g, dD, e, ell, _coerce_structure(structure)))
+        return tuple.__new__(cls, (p, g, dD, e, ell, st))
 
     @property
     def dN(self) -> int:
@@ -188,6 +200,15 @@ class SurfaceParams(_Checked, _SurfaceParamsFields):
     def dNl(self) -> int:
         """deg Nl, with Nl = N^(e/ell) the ell-th root of O(D)."""
         return self.dD // self.ell
+
+    @property
+    def mstep(self) -> int:
+        """(p+1)/ell, exact as ell | p+1.
+
+        The O_P(1)-exponent drop of M = O_P(-(p+1)/ell) (x) pi^* Nl^p, so
+        M^i drops i times it.
+        """
+        return (self.p + 1) // self.ell
 
     def sort_key(self) -> tuple:
         return (self.p, self.ell, self.e, self.g, self.dD, self.structure.value)

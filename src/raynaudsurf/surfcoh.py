@@ -97,14 +97,6 @@ class PTerm(NamedTuple):
     t: int
 
 
-def _mstep(params: SurfaceParams) -> int:
-    """(p+1)/ell, the O_P(1)-exponent drop of M; M^i drops i times it."""
-    q, rem = divmod(params.p + 1, params.ell)
-    if rem:
-        raise AssertionError(f"ell = {params.ell} must divide p+1 = {params.p + 1}")
-    return q
-
-
 def _side(ell: int, mtw: int, t: int) -> tuple[bool, int, int] | None:
     """The reduction rule: (dualized, m, t) of the curve sheaf of O_P(mtw) (x) pi^* Nl^t.
 
@@ -125,10 +117,10 @@ def _terms(params: SurfaceParams, m: int, tw: int) -> Iterator[tuple[int, int, t
 
     The direct-image row of the module docstring: summand i is
     O_P([(m+i)/ell] - i(p+1)/ell) (x) pi^* Nl^(i*p + tw), and side is
-    _side of that term.  The one coding of the row; every reader of the
-    table iterates it.
+    _side of that term; M^i drops the O_P(1)-exponent by i*params.mstep.
+    The one coding of the row; every reader of the table iterates it.
     """
-    ell, p, q = params.ell, params.p, _mstep(params)
+    ell, p, q = params.ell, params.p, params.mstep
     for i in range(ell):
         mtw, t = (m + i) // ell - i * q, i * p + tw
         yield mtw, t, _side(ell, mtw, t)
@@ -365,26 +357,36 @@ class ThmReport(NamedTuple):
         """One entry per n: every range claim expanded in place."""
         return tuple(e for c in self.claims for e in _per_n(c))
 
-    @property
-    def checks(self) -> int:
-        """The n the claims cover: a range claim counts each of its n, any other claim one."""
-        total = 0
+    def tally(self) -> tuple[int, tuple[ThmEntry, ...]]:
+        """(checks, stronger) from one walk of the claims.
+
+        checks counts the n the claims cover: a range claim each of its n,
+        any other claim one.  stronger is every "stronger" entry, one per n.
+        """
+        checks = 0
+        stronger: list[ThmEntry] = []
         for claim in self.claims:
             n = claim.n
-            total += len(n) if isinstance(n, range) else 1
-        return total
+            checks += len(n) if isinstance(n, range) else 1
+            if claim.verdict == "stronger":
+                stronger += _per_n(claim)
+        return checks, tuple(stronger)
+
+    @property
+    def checks(self) -> int:
+        return self.tally()[0]
 
     @property
     def stronger(self) -> tuple[ThmEntry, ...]:
-        return tuple(e for c in self.claims if c.verdict == "stronger" for e in _per_n(c))
+        return self.tally()[1]
 
     @property
     def confirmed(self) -> int:
-        return self.checks - len(self.stronger)
+        checks, stronger = self.tally()
+        return checks - len(stronger)
 
     def to_json(self) -> dict:
-        stronger = self.stronger
-        checks = self.checks
+        checks, stronger = self.tally()
         return {
             "params": self.params.to_json(),
             "checks": checks,
@@ -394,9 +396,10 @@ class ThmReport(NamedTuple):
 
 
 def _nonvanishing(theorem: str, n: int, cert: Cert) -> ThmEntry:
-    if cert.is_zero:
+    lo, hi = cert
+    if hi == 0:
         raise TheoremContradicted(f"{theorem} claims nonzero at n={n} but engine has {cert}")
-    return ThmEntry(theorem, n, "nonvanishing", cert, "confirmed" if cert.certainly_nonzero else "stronger")
+    return ThmEntry(theorem, n, "nonvanishing", cert, "confirmed" if lo >= 1 else "stronger")
 
 
 def _proven(theorem: str, ns: range) -> ThmEntry:
@@ -450,7 +453,10 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     by every tuple with that key.  A sweep comes grouped by (p, ell), so
     the memo loses no hit (14 misses, 2069 hits over the 2083 tuples of
     enumerate_families(13, 40, 40)); it holds no direct-image row, so
-    memory grows neither with ell nor with the sweep.
+    memory grows neither with ell nor with the sweep.  Time does grow: a
+    tuple costs O(ell^2), about ell/2 window twists of ell summands each,
+    0.83 s on the ell = 1020 Tango tuple.  ROADMAP item 3 (surface
+    certificates in time independent of ell) is the fix.
 
     Raises TheoremContradicted on an opposite certification; engine entries
     where it only returns a Range are recorded with verdict "stronger".

@@ -4,7 +4,7 @@ import math
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raynaudsurf import (
@@ -138,27 +138,55 @@ def test_is_prime_small():
     assert [n for n in range(14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
 
 
-@given(
-    p=st.integers(0, 30),
-    g=st.integers(0, 30),
-    dD=st.integers(0, 30),
-    e=st.integers(0, 30),
-    ell=st.integers(0, 30),
-    tango=st.booleans(),
+class _Int(int):
+    """An int subclass: accepted as an integer field, though not a plain int."""
+
+
+# Plain ints in most draws, so valid tuples still come up; the other kinds
+# exercise the per-field integer test, which plain ints skip.
+_FIELD = st.one_of(
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.integers(0, 30).map(_Int),
+    st.booleans(),
+    st.floats(0, 30),
+    st.text(max_size=2),
 )
-@settings(max_examples=300, deadline=None)
-def test_check_decides_construction(p, g, dD, e, ell, tango):
-    st_ = Structure.TANGO if tango else Structure.PRETANGO
-    bad = check(p, g, dD, e, ell, st_)
+
+
+@given(
+    p=_FIELD,
+    g=_FIELD,
+    dD=_FIELD,
+    e=_FIELD,
+    ell=_FIELD,
+    structure=st.sampled_from([Structure.TANGO, Structure.PRETANGO, "tango", "pretango", "TANGO", "x", None]),
+)
+# Valid tuples are rare among the draws: pin a few, with each kind of structure.
+@example(p=2, g=4, dD=3, e=3, ell=3, structure="TANGO")
+@example(p=_Int(5), g=9, dD=3, e=3, ell=3, structure="pretango")
+@example(p=3, g=7, dD=4, e=4, ell=4, structure=Structure.TANGO)
+@example(p=True, g=4.0, dD=3, e="3", ell=_Int(3), structure=None)
+@settings(max_examples=500, deadline=None)
+def test_check_decides_construction(p, g, dD, e, ell, structure):
+    fields = (("p", p), ("g", g), ("dD", dD), ("e", e), ("ell", ell))
+    bad = check(p, g, dD, e, ell, structure)
+    # The non-integer fields lead the list, in field order, with one message each.
+    untyped = [f"ConstraintViolated({name} is an integer): got {v!r}"
+               for name, v in fields if not isinstance(v, int) or isinstance(v, bool)]
+    assert bad[:len(untyped)] == untyped
     if bad:
-        with pytest.raises(InvalidParams):
-            SurfaceParams(p, g, dD, e, ell, st_)
+        with pytest.raises(InvalidParams) as err:
+            SurfaceParams(p, g, dD, e, ell, structure)
+        assert err.value.violations == bad
     else:
-        f = SurfaceParams(p, g, dD, e, ell, st_)
+        f = SurfaceParams(p, g, dD, e, ell, structure)
+        assert isinstance(f.structure, Structure)
         assert is_prime(f.p) and gcd(f.e, f.p) == 1
         assert f.e % f.ell == 0 and (f.p + 1) % f.ell == 0
         assert f.dD % f.e == 0 and f.dD % f.ell == 0
         assert f.p * f.dD <= 2 * f.g - 2
+        assert f.mstep * f.ell == f.p + 1
 
 
 def _trial_division(n: int) -> bool:
