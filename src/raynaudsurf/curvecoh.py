@@ -14,10 +14,10 @@ The rules live in one private function on ints, _rule_bounds, which
 returns (chi, h^0 lo, h^0 hi, h^1 lo, h^1 hi); certify wraps its result
 in a CohCert.  surface_cert certifies each side of a `table` twist and
 sums them, holding one twist at a time; h_surface (the degree query of
-`theorems` and `section-ring`) and h1neg_closed_form read _rule_bounds
-directly on the sides surfcoh's _terms yields, sum the ints and build
-one Cert.  No certificate is kept once it is returned: no sheaf recurred
-on the benchmark workloads.
+`theorems` and `section-ring`) reads _rule_bounds directly on the sides
+surfcoh's _terms yields, sums the ints and builds one Cert.  No
+certificate is kept once it is returned: no sheaf recurred on the
+benchmark workloads.
 
 In the middle degree range the true dimensions depend on the extension class
 of E, which degree data cannot see, so certificates there are intervals,
@@ -32,7 +32,7 @@ empty interval is an implementation bug and raises RuleConflict.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .params import SurfaceParams, _Checked
 
@@ -47,7 +47,6 @@ __all__ = [
     "chi",
     "line_bundle_h0_bounds",
     "certify",
-    "cert_sum",
 ]
 
 
@@ -124,11 +123,6 @@ class Cert(_Checked, _CertFields):
 ZERO_CERT = Cert.exact(0)
 
 
-def cert_sum(certs: Iterable[Cert]) -> Cert:
-    """Interval sum over a direct sum of sheaves: the Cert.__add__ chain from ZERO_CERT."""
-    return sum(certs, ZERO_CERT)
-
-
 class TwistedSym(NamedTuple):
     """S^m(E) (x) Nl^t, or its dual sym power when dualized; m < 0 is the zero sheaf."""
 
@@ -190,19 +184,6 @@ class CohCert(NamedTuple):
     chi: int
     h0: Cert
     h1: Cert
-
-
-def _transport_h1(h0: Cert, chi_value: int) -> Cert:
-    # h1 = h0 - chi on the nose, clamped at 0 from below.  _rule_bounds
-    # applies the same rule to ints inline; this Cert form is the reference
-    # the tests rebuild certify from.
-    lo = h0.lo - chi_value
-    if lo < 0:
-        lo = 0
-    hi = h0.hi - chi_value
-    if hi < lo:
-        raise RuleConflict(f"h1 transport emptied the interval: h0={h0}, chi={chi_value}")
-    return Cert(lo, hi)
 
 
 def _clipped_series_sum(d0: int, step: int, m: int) -> int:

@@ -17,7 +17,7 @@ from .curvecoh import Cert, ZERO_CERT
 from .params import SurfaceParams
 from .surfcoh import h_surface
 
-__all__ = ["LocalCohReport", "local_cohomology", "local_cohomology_report", "nonzero_negative_degrees"]
+__all__ = ["LocalCohReport", "local_cohomology", "local_cohomology_report"]
 
 DIM_R = 3
 
@@ -69,7 +69,3 @@ def local_cohomology_report(params: SurfaceParams, nmin: int, nmax: int) -> Loca
     }
     return LocalCohReport(params, nmin, nmax, pieces)
 
-
-def nonzero_negative_degrees(params: SurfaceParams, nmin: int = -40) -> list[int]:
-    """Degrees n < 0 where [H^2_m(R)]_n is certified nonzero."""
-    return [n for n in range(nmin, 0) if local_cohomology(params, 2, n).certainly_nonzero]

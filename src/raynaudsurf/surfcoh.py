@@ -21,13 +21,14 @@ Euler characteristic is an exact alternating sum over the same terms.
 
 The direct-image row and the reduction rule are coded once each: the
 generator _terms yields every summand's (mtw, t) with its one curve sheaf
-from _side, the reduction rule, and every reader iterates it.
-decompose_twist builds the public PTerm records from it and reduce_term
-the TwistedSym ones from _side.  surface_cert certifies each present side
-and sums by the Leray rule LERAY, for `table`, which prints chi and the
-terms; h_surface, the one-degree query of theorem_predicates and of the
-section ring, and h1neg_closed_form, the n < 0 sum for h^1, add the ints
-of the curve rules' core _rule_bounds over the sides they read.
+from _side, the reduction rule, and every reader iterates it.  Leray for
+pi, whose fibres are curves, gives H^i(P, F) = H^i(C, pi_* F) (+)
+H^(i-1)(C, R^1 pi_* F), so the curve h^j of side k (0 for pi_*, 1 for
+R^1 pi_*) feeds the surface h^(k+j).  surface_cert certifies each present
+side and sums by that rule, for `table`, which prints chi and the terms;
+h_surface, the one-degree query of theorem_predicates and of the section
+ring, adds the ints of the curve rules' core _rule_bounds over the sides
+its degree reads.
 theorem_predicates takes its vanishing claims from proofs on that same
 table (h^0 for n < 0, h^2 from p(p+1) on, h^1 below the window for
 p = 2, 3), stores each once as an n-range, and asks the engine only for
@@ -40,9 +41,9 @@ enumerate_families(13, 40, 40).  It holds no direct-image row, so memory
 grows neither with ell nor with the sweep, and the h1_nonzero_near_zero
 entries still ask the engine for every tuple.  The independent checks
 of the engine live in the tests: Riemann-Roch from numclass, Serre
-duality on the smooth (Tango) tuples, the exact-fraction row oracle of
-test_decompose_matches_oracle, and the engine itself as the oracle of
-every proven vanishing claim.
+duality on the smooth (Tango) tuples, the exact-fraction row oracle
+that test_decompose_matches_oracle compares with _terms, and the engine
+itself as the oracle of every proven vanishing claim.
 """
 
 from __future__ import annotations
@@ -61,12 +62,8 @@ __all__ = [
     "TheoremContradicted",
     "ThmEntry",
     "ThmReport",
-    "decompose_twist",
-    "reduce_term",
     "surface_cert",
     "h_surface",
-    "h1neg_closed_form",
-    "result1_range",
     "h1_nonvanishing_window",
     "zab_nonvanishing",
     "theorem_predicates",
@@ -74,15 +71,6 @@ __all__ = [
 
 # |n| cap on every CLI twist window: at most 2*NMAX + 1 = 201 twists.
 NMAX = 100
-
-
-# Leray for pi: P -> C, whose fibres are curves:
-#   H^i(P, F) = H^i(C, pi_* F) (+) H^(i-1)(C, R^1 pi_* F).
-# LERAY[i] lists the (side, curve degree) pairs that feed H^i, side 0 being
-# a term's pi_* side and side 1 its R^1 pi_* side: h^0 reads only pi_*
-# sides, h^2 only R^1 pi_* sides, h^1 both.  So side k's curve h^j feeds
-# H^(k+j), which is how surface_cert applies it in one pass.
-LERAY = (((0, 0),), ((0, 1), (1, 0)), ((1, 1),))
 
 
 def _check_degree(i: int) -> None:
@@ -103,7 +91,7 @@ def _side(ell: int, mtw: int, t: int) -> tuple[bool, int, int] | None:
     Only mtw >= 0 has a pi_* side, S^mtw(E) (x) Nl^t, and only mtw <= -2
     an R^1 pi_* side, S^(-mtw-2)(E)^v (x) Nl^(t-ell); mtw = -1 kills both
     direct images (None).  So a term has at most one nonzero side, and
-    dualized is that side's index in LERAY: 0 for pi_*, 1 for R^1 pi_*.
+    dualized is that side's Leray index k: 0 for pi_*, 1 for R^1 pi_*.
     """
     if mtw >= 0:
         return False, mtw, t
@@ -124,24 +112,6 @@ def _terms(params: SurfaceParams, m: int, tw: int) -> Iterator[tuple[int, int, t
     for i in range(ell):
         mtw, t = (m + i) // ell - i * q, i * p + tw
         yield mtw, t, _side(ell, mtw, t)
-
-
-def decompose_twist(params: SurfaceParams, m: int, tw: int) -> tuple[PTerm, ...]:
-    """Terms of psi_*(O_X(m*Etilde)) (x) pi^* Nl^tw; Z^n is m = tw = n."""
-    return tuple(PTerm(mtw, t) for mtw, t, _ in _terms(params, m, tw))
-
-
-def reduce_term(params: SurfaceParams, term: PTerm) -> tuple[TwistedSym | None, TwistedSym | None]:
-    """Curve-level sheaves (pi_* side, R^1 pi_* side) of term, None where zero.
-
-    LERAY says which side feeds which H^i(P, term); _side says which side
-    is present.
-    """
-    side = _side(params.ell, *term)
-    if side is None:
-        return None, None
-    sheaf = TwistedSym(*side)
-    return (None, sheaf) if side[0] else (sheaf, None)
 
 
 class TermReduction(NamedTuple):
@@ -172,7 +142,7 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     """All certificates for H^*(X, Z_{a,b}^n), with every term; Z = Z_{1,1}.
 
     One pass over the terms certifies every present side once (a term has
-    at most one, _side).  By LERAY, the curve h^j of side k (0 for pi_*,
+    at most one, _side).  By Leray, the curve h^j of side k (0 for pi_*,
     1 for R^1 pi_*) feeds the surface h^(k+j); the interval ends are
     summed as ints (certify bounds every hi), and chi is the signed sum of
     the per-term Euler characteristics.
@@ -213,9 +183,9 @@ def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> 
     """Certificate for h^i(X, Z_{a,b}^n), computing degree i alone.
 
     Z_{a,b}^n pushes down to m = a*n, tw = b*n, and _terms gives each
-    summand's side.  The Leray index rule (LERAY) is j = i - dualized: a
-    pi_* side feeds h^i through its curve h^i when i <= 1, an R^1 pi_* side
-    through its curve h^(i-1) when i >= 1.  Only those sides are bounded,
+    summand's side.  The Leray index rule is j = i - dualized: a pi_* side
+    feeds h^i through its curve h^i when i <= 1, an R^1 pi_* side through
+    its curve h^(i-1) when i >= 1.  Only those sides are bounded,
     so h^0 at n < 0 and h^2 once every mtw >= -1 bound nothing.  The ends
     from the curve rules' int core (_rule_bounds) are summed as ints, with
     no record per summand, and one Cert is built at the end, which
@@ -233,30 +203,6 @@ def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> 
                 bounds = _rule_bounds(params, *side)
                 lo += bounds[1 + 2 * j]
                 hi += bounds[2 + 2 * j]
-    return Cert(lo, hi)
-
-
-def h1neg_closed_form(params: SurfaceParams, n: int) -> Cert:
-    """h^1(X, Z^n) for n < 0 as the direct sum over the R^1-side twists.
-
-    Summand i of Z^n has mtw = [(n+i)/ell] - i(p+1)/ell and t = i*p + n.
-    For n < 0 and 0 <= i <= ell-1 the floor is at most 0, it is at most -1
-    at i = 0, and i(p+1)/ell > 0 for i >= 1, so every mtw is negative: no
-    summand has a pi_* part, and h^1 is the H^0 of the R^1 pi_* sides alone,
-
-        (+)_{i=0..ell-1} H^0(C, S^(i(p+1)/ell - [(n+i)/ell] - 2)(E)^v (x) Nl^(i*p + n - ell)),
-
-    where a summand with mtw = -1 is the zero sheaf.  Each side comes from
-    _terms, and its h^0 ends are summed as ints into one Cert.
-    """
-    if n >= 0:
-        raise ValueError("closed form only covers n < 0")
-    lo = hi = 0
-    for _, _, side in _terms(params, n, n):
-        if side is not None:  # an R^1 pi_* side, as every mtw < 0
-            _, h_lo, h_hi, _, _ = _rule_bounds(params, *side)
-            lo += h_lo
-            hi += h_hi
     return Cert(lo, hi)
 
 
@@ -284,15 +230,10 @@ def _window(p: int, ell: int) -> int:
     return -min(ell // 2, ell - _ceil_div(2 * ell, p + 1))
 
 
-def result1_range(params: SurfaceParams) -> list[int]:
-    """The certified non-vanishing degrees, from the window bound up to -1."""
-    return list(range(h1_nonvanishing_window(params), 0))
-
-
 def zab_nonvanishing(params: SurfaceParams, a: int, b: int) -> Cert:
     """Certificate for h^1(X, Z_{a,b}^{-1}).
 
-    Z_{a,b}^{-1} pushes down to decompose_twist(-a, -b): summand i has
+    Z_{a,b}^{-1} pushes down to _terms(params, -a, -b): summand i has
     mtw = [(i-a)/ell] - i(p+1)/ell and t = i*p - b.  The witness summand is
     i = ell-b, in row [(ell-b-a)/ell], which is 0 when a <= ell-b and -1 or
     lower once a > ell-b.  In row 0 its R^1 pi_* side is S^k(E)^v (x)
@@ -432,16 +373,19 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     the range it covers, so the report's size does not grow with
     -nneg_min; report.checks counts its n, and report.entries expands it
     into one entry per n:
-      - h0_zero_negative: for n < 0 every summand has mtw < 0
-        (h1neg_closed_form), so no term has a pi_* side and h^0 = 0.
+      - h0_zero_negative: summand i of Z^n has mtw = [(n+i)/ell] -
+        i(p+1)/ell.  For n < 0 and 0 <= i <= ell-1 the floor is at most 0,
+        it is at most -1 at i = 0, and the integer i(p+1)/ell is at least 1
+        for i >= 1, so every mtw < 0: no term has a pi_* side and h^0 = 0.
       - h2_vanishes_high: for n >= p(p+1), [(n+i)/ell] >= p(p+1)/ell >=
         i(p+1)/ell for every i <= ell-1 <= p, so every mtw >= 0, no term
         has an R^1 pi_* side and h^2 = 0.
       - h1_zero_below_window: ell >= 2 divides p+1, so (p, ell) is (2, 3),
-        (3, 2) or (3, 4), with window -1, -1 and -2.  For n < 0, h^1 is the
-        sum of h^0 of the R^1 pi_* sides S^k(E)^v (x) Nl^t' of the summands
-        i, with k = i(p+1)/ell - [(n+i)/ell] - 2 and t' = i*p + n - ell
-        (h1neg_closed_form).  certify gives such a side Exact(0) whenever
+        (3, 2) or (3, 4), with window -1, -1 and -2.  For n < 0 every mtw
+        is negative (h0_zero_negative), so by Leray h^1 is the sum of h^0
+        of the R^1 pi_* sides S^k(E)^v (x) Nl^t' of the summands i, with
+        k = i(p+1)/ell - [(n+i)/ell] - 2 = -mtw - 2 and
+        t' = i*p + n - ell.  certify gives such a side Exact(0) whenever
         t' < 0, that is n < ell - i*p: by R0 (k < 0), R1 (k = 0) or R2
         (k >= 1).  Below the window that covers every i <= ell-1 except
         i = 3 at (3, 4), where n <= -3 gives [(n+3)/4] <= 0, so k >= 1,
@@ -462,7 +406,7 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     where it only returns a Range are recorded with verdict "stronger".
     """
     window, h2_high, later = _proven_claims(params.p, params.ell, nneg_min)
-    # h^1 is nonzero on the window just below 0 (the result1_range degrees).
+    # h^1 is nonzero on the window just below 0, from the window bound up to -1.
     near_zero = [_nonvanishing("h1_nonzero_near_zero", n, h_surface(params, 1, n)) for n in range(window, 0)]
 
     # The polarization is numerically Etilde plus the pullback of deg D / ell,

@@ -27,15 +27,12 @@ from raynaudsurf import (
     Cert,
     cusp_exponents,
     fiber_genus,
-    h1neg_closed_form,
     h_surface,
     is_ample_KX,
     is_smooth,
     kodaira_vanishing_KX,
     line_bundle_h0_bounds,
     local_cohomology,
-    nonzero_negative_degrees,
-    result1_range,
     selfint_Etilde,
     surface_cert,
     theorem_predicates,
@@ -43,7 +40,7 @@ from raynaudsurf import (
 )
 from raynaudsurf.params import Structure
 
-from conftest import PS1, PS2, PS3, PS4
+from conftest import PS1, PS2, PS3, PS4, h1neg_closed_form, nonzero_negative_degrees, result1_range
 
 ZERO = Cert.exact(0)
 

@@ -5,19 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raynaudsurf import (
+    ZERO_CERT,
     Cert,
     CohCert,
     RuleConflict,
     Structure,
     TwistedSym,
-    cert_sum,
     certify,
     chi,
     degree,
     line_bundle_h0_bounds,
     rank,
 )
-from raynaudsurf.curvecoh import _clipped_series_sum, _transport_h1
+from raynaudsurf.curvecoh import _clipped_series_sum
 
 from conftest import PS1, PS2, PS3, PS4
 
@@ -61,11 +61,12 @@ def test_cert_addition():
     assert Cert.exact(2) + Cert.exact(3) == Cert.exact(5)
     assert Cert(0, 2) + Cert.exact(1) == Cert(1, 3)
     assert Cert.at_least(1) + Cert(0, 5) == Cert.at_least(1)
-    assert cert_sum([]) == Cert.exact(0)
-    # cert_sum is the Cert.__add__ chain: hi is None once a summand's is.
+    assert sum([], ZERO_CERT) == Cert.exact(0)
+    # A direct sum is the Cert.__add__ chain from ZERO_CERT: hi is None
+    # once a summand's is.
     parts = [Cert(0, 2), Cert.at_least(1), Cert.exact(3)]
-    assert cert_sum(parts) == parts[0] + parts[1] + parts[2] == Cert.at_least(4)
-    assert cert_sum(iter([Cert(1, 2), Cert(0, 5)])) == Cert(1, 7)
+    assert sum(parts, ZERO_CERT) == parts[0] + parts[1] + parts[2] == Cert.at_least(4)
+    assert sum(iter([Cert(1, 2), Cert(0, 5)]), ZERO_CERT) == Cert(1, 7)
 
 
 def test_cert_json():
@@ -259,7 +260,13 @@ def _enumerated_certify(params, s):
     if nonspecial:
         lo, hi = max(lo, c), min(hi, c)
     h0 = Cert(lo, hi)
-    return CohCert(s, c, h0, Cert.exact(0) if nonspecial else _transport_h1(h0, c))
+    if nonspecial:
+        return CohCert(s, c, h0, Cert.exact(0))
+    # h1 = h0 - chi on the nose, clamped at 0 from below.
+    lo1, hi1 = max(0, h0.lo - c), h0.hi - c
+    if hi1 < lo1:
+        raise RuleConflict(f"h1 transport emptied the interval: h0={h0}, chi={c}")
+    return CohCert(s, c, h0, Cert(lo1, hi1))
 
 
 def test_certify_matches_enumerated_filtration(sweep_small):
@@ -440,3 +447,109 @@ def test_explicit_tango_curves_contain_every_rank_p_certificate(sweep_acceptance
                     violations.append((params, t, dualized, cc.h0, h0, cc.h1, h1))
     assert violations == []
     assert sheaves == 1032
+
+
+def kernel_counts(p, m, k, nmax):
+    """[dim{g in L(N*inf) : d^(k+1) g = 0} for N = 0..nmax] on y^p - y = x^m.
+
+    d is d/dx on K = F_p(x, y): d x = 1 and, differentiating the equation,
+    d y = -m*x^(m-1).  L(N*inf) has the basis x^a*y^b with b < p and
+    pa + mb <= N, since x and y have pole orders p and m at inf; the
+    weights pa + mb are distinct, as gcd(p, m) = 1 and b < p.  d never
+    raises the y-exponent, so every image stays in the monomials with
+    b < p, which are independent in F_p[x, y]/(y^p - y - x^m): the images
+    are vectors over F_p.  Adding the basis in weight order and reducing
+    each image against the pivots found so far counts the kernel on each
+    prefix, one for each image that reduces to zero.
+    """
+    basis = sorted((p * a + m * b, a, b) for b in range(p) if m * b <= nmax for a in range((nmax - m * b) // p + 1))
+    pivots: dict = {}
+    counts, kernel, added = [], 0, 0
+    for n in range(nmax + 1):
+        while added < len(basis) and basis[added][0] <= n:
+            _, a, b = basis[added]
+            added += 1
+            v = {(a, b): 1}
+            for _ in range(k + 1):
+                dv: dict = {}
+                for (i, j), c in v.items():
+                    if i:
+                        dv[i - 1, j] = (dv.get((i - 1, j), 0) + i * c) % p
+                    if j:
+                        dv[i + m - 1, j - 1] = (dv.get((i + m - 1, j - 1), 0) - j * m * c) % p
+                v = {key: c for key, c in dv.items() if c}
+            while v:
+                lead = max(v)
+                if lead not in pivots:
+                    inv = pow(v[lead], p - 2, p)
+                    pivots[lead] = {key: c * inv % p for key, c in v.items()}
+                    break
+                c = v[lead]
+                for key, pc in pivots[lead].items():
+                    rest = (v.get(key, 0) - c * pc) % p
+                    if rest:
+                        v[key] = rest
+                    else:
+                        v.pop(key, None)
+            else:
+                kernel += 1
+        counts.append(kernel)
+    return counts
+
+
+def test_explicit_tango_curves_contain_every_rank_2_to_p_minus_1_certificate(sweep_acceptance):
+    """S^k(E) (x) Nl^t and its dual, 1 <= k <= p-2, against kernel counts on y^p - y = x^m.
+
+    With f = x, (dx) = (2g-2)inf = pD, and S^(p-1)(E) = F_*O_C (the proof
+    in test_explicit_tango_curves_contain_every_rank_p_certificate).
+      - Saturation.  Multiplying by the section 1 of O_C -> E embeds
+        S^(k-1)(E) in S^k(E) with quotient S^k(O(D)) = O(kD).  So
+        S^0(E) in S^1(E) in ... in S^(p-1)(E) = F_*O_C has line-bundle
+        quotients O(jD), F_*O_C / S^k(E) is torsion-free, and S^k(E) is
+        saturated in F_*O_C: a section of F_*O_C (x) Nl^t lies in
+        S^k(E) (x) Nl^t iff it lies there at the generic point.
+      - Sections of F_*O_C (x) Nl^t.  By the projection formula they are
+        H^0(Nl^(pt)) = L(pt*dNl*inf), as Nl = O(dNl*inf).
+      - The generic span.  E is the pullback of 0 -> O_C -> F_*O_C -> B^1
+        along O(D) -> B^1, whose image is generically K^p*dx.  So E is
+        generically spanned by 1 and the phi with d(phi) in K^p*dx, that
+        is by K^p + K^p*x, because the kernel of d on K is K^p.  Its k-th
+        symmetric power spans K^p + K^p*x + ... + K^p*x^k.
+      - The count.  K = (+)_{j<p} K^p*x^j, d is K^p-linear and
+        d(a^p*x^j) = j*a^p*x^(j-1), with j a unit below p.  So for
+        k <= p-1 the kernel of d^(k+1) is exactly (+)_{j<=k} K^p*x^j, and
+        h^0(S^k(E) (x) Nl^t) = dim{g in L(pt*dNl*inf) : d^(k+1) g = 0},
+        which kernel_counts computes.
+      - The dual.  Below p divided and symmetric powers agree, so
+        S^k(E)^v = S^k(E^v), and E^v = E (x) det(E)^-1 = E (x) O(-D) for
+        rank 2; hence S^k(E)^v = S^k(E) (x) O(-kD) = S^k(E) (x) Nl^(-k*ell).
+      - h^1 = h^0 - chi, with chi from Riemann-Roch.
+    At k = 0 the kernel is (L(t*dNl*inf))^p, and the count must equal the
+    Weierstrass semigroup count, which checks kernel_counts itself.  Each
+    t runs from -3 past (2k+2)*ell, across R2's t < ell and R3's
+    t >= k*ell thresholds of both duals.  These are true values on one
+    curve: the oracle may refute a certificate but must never narrow one,
+    so only containment is asserted.
+    """
+    curves = [(f, m) for f in sweep_acceptance if (m := artin_schreier_m(f)) is not None]
+    sheaves, violations = 0, []
+    for params, m in curves:
+        p, dNl, ell = params.p, params.dNl, params.ell
+        line = kernel_counts(p, m, 0, p * 3 * ell * dNl)
+        assert [line[p * t * dNl] for t in range(3 * ell + 1)] == [
+            semigroup_h0(p, m, t * dNl) for t in range(3 * ell + 1)
+        ], params
+        for k in range(1, p - 1):
+            tmax = (2 * k + 2) * ell + 3
+            counts = kernel_counts(p, m, k, p * tmax * dNl)
+            for t in range(-3, tmax + 1):
+                for dualized, u in ((False, t), (True, t - k * ell)):
+                    s = TwistedSym(dualized, k, t)
+                    h0 = counts[p * u * dNl] if u >= 0 else 0
+                    h1 = h0 - chi(params, s)
+                    cc = certify(params, s)
+                    sheaves += 1
+                    if not (cc.h0.lo <= h0 <= cc.h0.hi and cc.h1.lo <= h1 <= cc.h1.hi):
+                        violations.append((params, s, cc.h0, h0, cc.h1, h1))
+    assert violations == []
+    assert sheaves == 1574

@@ -7,11 +7,9 @@ from raynaudsurf import (
     h_surface,
     local_cohomology,
     local_cohomology_report,
-    nonzero_negative_degrees,
-    result1_range,
 )
 
-from conftest import PS1, PS2, PS3, PS4
+from conftest import PS1, PS2, PS3, PS4, nonzero_negative_degrees, result1_range
 
 
 def test_low_indices_always_vanish():

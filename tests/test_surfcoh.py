@@ -23,49 +23,36 @@ from raynaudsurf import (
     canonical_X,
     certify,
     chi,
-    decompose_twist,
     enumerate_families,
     h1_nonvanishing_window,
-    h1neg_closed_form,
     h_surface,
     intersect_X,
     is_smooth,
     polarization_class,
     rank,
-    reduce_term,
-    result1_range,
     surface_cert,
     theorem_predicates,
     validate,
     zab_nonvanishing,
 )
 from raynaudsurf.cli import main
-from raynaudsurf.surfcoh import LERAY, NMAX, _proven_claims, _terms
+from raynaudsurf.surfcoh import NMAX, _proven_claims, _side, _terms
 
-from conftest import PS1, PS2, PS3, PS4
+from conftest import PS1, PS2, PS3, PS4, h1neg_closed_form, oracle_decompose, result1_range
 
 
 # ---------------------------------------------------------------- decomposition
 
 
-def _oracle_decompose(params, m, tw):
-    # Independent enumeration: push each graded piece M^i (exact fractions,
-    # then certified-integral) through the twist O_X(m*Etilde) (x) phi^* Nl^tw.
-    # The E-twist of summand i comes from the valuation condition, whatever
-    # the sign of m: f*z^i (z^ell = the equation of E) has a pole of order
-    # at most m along Etilde iff ell*v_E(f) + i >= -m, i.e.
-    # v_E(f) >= ceil((-m-i)/ell); the Nl twist tw adds to the i*p of M^i.
-    ell, p = params.ell, params.p
-    drop = [Fraction(i * (p + 1), ell) for i in range(ell)]
-    assert all(d.denominator == 1 for d in drop)
-    drop = [int(d) for d in drop]
-    return [PTerm(-math.ceil(Fraction(-m - i, ell)) - drop[i], i * p + tw) for i in range(ell)]
+def _row(params, m, tw):
+    """The engine's direct-image row, as PTerm records."""
+    return [PTerm(mtw, t) for mtw, t, _ in _terms(params, m, tw)]
 
 
 def test_decompose_examples():
-    assert list(decompose_twist(PS1, -1, -1)) == [PTerm(-1, -1), PTerm(-1, 1), PTerm(-2, 3)]
-    assert list(decompose_twist(PS1, 0, 0)) == [PTerm(0, 0), PTerm(-1, 2), PTerm(-2, 4)]
-    assert list(decompose_twist(PS3, 1, 1)) == [
+    assert _row(PS1, -1, -1) == [PTerm(-1, -1), PTerm(-1, 1), PTerm(-2, 3)]
+    assert _row(PS1, 0, 0) == [PTerm(0, 0), PTerm(-1, 2), PTerm(-2, 4)]
+    assert _row(PS3, 1, 1) == [
         PTerm(0, 1),
         PTerm(-1, 4),
         PTerm(-2, 7),
@@ -82,15 +69,15 @@ TANGO1019 = SurfaceParams(1019, 519691, 1020, 1020, 1020, Structure.TANGO)
 def test_decompose_matches_oracle(sweep_small):
     # The one independent check of the row for m != tw: Z_{a,b}^n pushes
     # down to m = a*n, tw = b*n.  For n < 0 every mtw is negative, the
-    # premise of h1neg_closed_form and of h0_zero_negative.
+    # premise of h0_zero_negative and of the h1neg_closed_form reference.
     cases = [(f, range(-12, 13)) for f in sweep_small[:25]]
     cases += [(ELL24, range(-72, 73)), (TANGO1019, range(-3, 4))]
     cells = 0
     for f, ns in cases:
         for a, b in {(1, 1), (2, 1), (1, f.ell - 1)}:
             for n in ns:
-                terms = decompose_twist(f, a * n, b * n)
-                assert list(terms) == _oracle_decompose(f, a * n, b * n), (f, n, a, b)
+                terms = _row(f, a * n, b * n)
+                assert terms == oracle_decompose(f, a * n, b * n), (f, n, a, b)
                 assert len(terms) == f.ell
                 if n < 0:
                     assert all(term.mtw < 0 for term in terms), (f, n, a, b)
@@ -104,19 +91,19 @@ def test_decompose_matches_oracle(sweep_small):
 def test_decompose_twist_generalizes():
     # Z_{2,1}^{-1} has the Etilde exponent doubled but the Nl twist kept:
     # on PS1 (p = 2, ell = 3) summand i is PTerm([(i-2)/3] - i, 2i - 1).
-    terms = decompose_twist(PS1, -2, -1)
-    assert list(terms) == [PTerm(-1, -1), PTerm(-2, 1), PTerm(-2, 3)]
+    assert _row(PS1, -2, -1) == [PTerm(-1, -1), PTerm(-2, 1), PTerm(-2, 3)]
 
 
 # -------------------------------------------------------------------- reduction
 
 
 def test_reduce_term_examples():
-    assert reduce_term(PS1, PTerm(-1, 5)) == (None, None)
-    assert reduce_term(PS1, PTerm(-2, 3)) == (None, TwistedSym(True, 0, 0))
-    assert reduce_term(PS1, PTerm(2, 5)) == (TwistedSym(False, 2, 5), None)
-    assert reduce_term(PS1, PTerm(0, 0)) == (TwistedSym(False, 0, 0), None)
-    assert reduce_term(PS1, PTerm(-3, 1)) == (None, TwistedSym(True, 1, -2))
+    # (dualized, m, t) of the one nonzero side; dualized marks R^1 pi_*.
+    assert _side(PS1.ell, -1, 5) is None
+    assert _side(PS1.ell, -2, 3) == (True, 0, 0)
+    assert _side(PS1.ell, 2, 5) == (False, 2, 5)
+    assert _side(PS1.ell, 0, 0) == (False, 0, 0)
+    assert _side(PS1.ell, -3, 1) == (True, 1, -2)
 
 
 # --------------------------------------------------------------- surface certs
@@ -306,7 +293,7 @@ def test_chi_example_ps1():
 
 def test_term_records_carry_reductions():
     sc = surface_cert(PS1, -1)
-    assert [r.term for r in sc.terms] == list(decompose_twist(PS1, -1, -1))
+    assert [r.term for r in sc.terms] == oracle_decompose(PS1, -1, -1)
     assert sc.terms[0].pushforward is None and sc.terms[0].derived is None
     last = sc.terms[2]
     assert last.derived is not None
@@ -367,6 +354,14 @@ def test_h_surface_equals_full_certificate(sweep_acceptance):
     assert cells == 64392 + 1809 + 21
 
 
+# Leray for pi: P -> C, whose fibres are curves:
+#   H^i(P, F) = H^i(C, pi_* F) (+) H^(i-1)(C, R^1 pi_* F).
+# LERAY[i] lists the (side, curve degree) pairs that feed H^i, side 0 being
+# a term's pi_* side and side 1 its R^1 pi_* side: h^0 reads only pi_*
+# sides, h^2 only R^1 pi_* sides, h^1 both.
+LERAY = (((0, 0),), ((0, 1), (1, 0)), ((1, 1),))
+
+
 def _leray_reference(f, n, a, b):
     """(h^0, h^1, h^2, chi) of Z_{a,b}^n with one validated Cert per summand.
 
@@ -375,8 +370,9 @@ def _leray_reference(f, n, a, b):
     from ZERO_CERT, and chi from certify's per-side chi.
     """
     certs = []
-    for term in decompose_twist(f, a * n, b * n):
-        certs.append(tuple(None if s is None else certify(f, s) for s in reduce_term(f, term)))
+    for _, _, side in _terms(f, a * n, b * n):
+        cert = None if side is None else certify(f, TwistedSym(*side))
+        certs.append((None, cert) if side and side[0] else (cert, None))
     h = tuple(
         functools.reduce(
             operator.add,
@@ -435,7 +431,7 @@ def test_h_surface_certifies_only_what_it_reads(sweep_small, rule_calls):
     total = 0
     for f in sweep_small:
         for n in range(-30, 31):
-            mtws = [term.mtw for term in decompose_twist(f, n, n)]
+            mtws = [term.mtw for term in oracle_decompose(f, n, n)]
             for i in range(3):
                 rule_calls[0] = 0
                 h_surface(f, i, n)
@@ -467,7 +463,7 @@ def test_inline_chi_matches_riemann_roch(sweep_small):
                         if cc is not None:
                             assert cc.chi == chi(f, cc.sheaf), (f, n, a, b, cc.sheaf)
                             sides += 1
-                want_sides += sum(term.mtw != -1 for term in decompose_twist(f, a * n, b * n))
+                want_sides += sum(term.mtw != -1 for term in oracle_decompose(f, a * n, b * n))
                 zn = n * z
                 twice = intersect_X(f, zn, zn) - intersect_X(f, zn, kx)
                 assert twice % 2 == 0 and sc.chi == chi0 + twice // 2, (f, n, a, b)
@@ -479,8 +475,8 @@ def test_h0_and_h2_checks_certify_nothing(sweep_acceptance, rule_calls):
     # proofs and read no curve certificate.  So the curve-rule calls of
     # theorem_predicates are those of its h1_nonzero_near_zero entries: one
     # per present side of each of their terms (h^1 reads both sides).  A
-    # term has a side exactly when mtw != -1, counted from the row alone,
-    # not through _side.
+    # term has a side exactly when mtw != -1, counted from the oracle row
+    # alone, not through _terms or _side.
     for f in sweep_acceptance:
         rule_calls[0] = 0
         report = theorem_predicates(f)
@@ -488,7 +484,7 @@ def test_h0_and_h2_checks_certify_nothing(sweep_acceptance, rule_calls):
             term.mtw != -1
             for e in report.entries
             if e.theorem == "h1_nonzero_near_zero"
-            for term in decompose_twist(f, e.n, e.n)
+            for term in oracle_decompose(f, e.n, e.n)
         )
         assert rule_calls[0] == h1_sides, f
 
@@ -597,13 +593,14 @@ def test_small_p_vanishing_below_window(sweep_acceptance):
 
 
 def test_unit_section_witness_codings_agree():
-    # result1_range and zab_nonvanishing code the same witness, the unit
-    # section of one R^1 pi_* side, since Z^n = Z_{-n,-n}^{-1}: the window
-    # is exactly the n in [-(ell-1), -1] where the twisted-family witness
-    # fires with a = b = -n.
+    # The oracle row's result1_range, h1_nonvanishing_window and
+    # zab_nonvanishing code the same witness, the unit section of one
+    # R^1 pi_* side, since Z^n = Z_{-n,-n}^{-1}: the window is exactly the
+    # n in [-(ell-1), -1] where the twisted-family witness fires with
+    # a = b = -n.
     for f in enumerate_families(13, 40, 40):
         fired = [n for n in range(1 - f.ell, 0) if zab_nonvanishing(f, -n, -n) == Cert.at_least(1)]
-        assert result1_range(f) == fired, f
+        assert result1_range(f) == fired == list(range(h1_nonvanishing_window(f), 0)), f
 
 
 # -------------------------------------------------------------- twisted family
