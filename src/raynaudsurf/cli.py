@@ -3,13 +3,15 @@
 Subcommands: validate, invariants, table, families, theorems, section-ring.
 Output is byte-deterministic for fixed inputs: stable ordering everywhere,
 rationals printed as reduced "num/den" strings, no floating point anywhere.
-Exit codes: 0 ok, 1 internal error, 2 invalid input, 3 theorem contradiction.
+Exit codes: 0 ok, 1 internal error, 2 invalid input, 3 theorem contradiction;
+under run(), a reader closing stdout early ends the run by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import signal
 import sys
 
 from . import __version__
@@ -107,7 +109,7 @@ def _params_json(params: SurfaceParams) -> str:
 
 
 def _cert_fields(h: Cert) -> str:
-    return f'"kind":"{h.kind}","lo":{h.lo},"hi":{"null" if h.hi is None else h.hi}'
+    return f'"kind":"{h.kind}","lo":{h.lo},"hi":{h.hi}'
 
 
 def _side_json(cc: CohCert | None) -> str:
@@ -124,7 +126,7 @@ def _side_json(cc: CohCert | None) -> str:
 def _term_json(rec: TermReduction) -> str:
     """One `table` term as compact JSON, with the bytes json.dumps would write.
 
-    The values are ints, true/false/null and the three Cert kinds, so
+    The values are ints, true/false/null and the two Cert kinds, so
     nothing needs escaping and an f-string writes them directly.
     """
     term = rec.term
@@ -195,7 +197,7 @@ def _table_line(fmt: str, i: int, n: int, c: Cert, chi: int) -> str:
         return f'{{"i":{i},"n":{n},"h":{{{_cert_fields(c)}}},"chi":{chi},"terms":\n'
     if fmt == "csv":
         # Ints and a Cert kind: no field ever needs quoting.
-        return f"{i},{n},{c.kind},{c.lo},{'' if c.hi is None else c.hi},{chi}\n"
+        return f"{i},{n},{c.kind},{c.lo},{c.hi},{chi}\n"
     return f"  i={i} n={n:>4} {str(c):>16} chi={chi}\n"
 
 
@@ -450,7 +452,11 @@ def run() -> None:
     finalizer, and the OS reclaims the frozen heap; os._exit would skip the
     flush and the atexit handlers.  main() neither disables the collector
     nor freezes anything, so in-process callers may call it again.
+    Where the platform has SIGPIPE, its default action is restored, so a
+    reader that closes stdout early (`| head`) ends the run quietly.
     """
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     gc.disable()
     try:
         sys.exit(main())

@@ -22,11 +22,10 @@ benchmark workloads.
 In the middle degree range the true dimensions depend on the extension class
 of E, which degree data cannot see, so certificates there are intervals,
 always paired with the exact Euler characteristic chi = deg + rank*(1-g).
-Every curve certificate is Exact(k) or Range(lo, hi): certify always proves
-a finite upper bound (the argument is in _rule_bounds's docstring).  A
-LowerBound(k) comes only from the constructive witness of
-surfcoh.zab_nonvanishing.  Rules may only tighten; two rules producing an
-empty interval is an implementation bug and raises RuleConflict.
+Every certificate is Exact(k) or Range(lo, hi): certify always proves a
+finite upper bound (the argument is in _rule_bounds's docstring).  Rules
+may only tighten; two rules producing an empty interval is an
+implementation bug and raises RuleConflict.
 """
 
 from __future__ import annotations
@@ -56,26 +55,22 @@ class RuleConflict(RuntimeError):
 
 class _CertFields(NamedTuple):
     lo: int
-    hi: int | None
+    hi: int
 
 
 class Cert(_Checked, _CertFields):
-    """A certified interval for a cohomology dimension.
+    """A certified interval [lo, hi] for a cohomology dimension.
 
-    lo is always a proven lower bound; hi, when present, a proven upper
-    bound.  kind is derived: lo == hi is Exact, hi is None is LowerBound
-    (only allowed with lo >= 1), otherwise Range with lo < hi.
+    lo is a proven lower bound and hi a proven upper bound.  kind is
+    derived: lo == hi is Exact, otherwise Range with lo < hi.
     """
 
     __slots__ = ()
 
-    def __new__(cls, lo: int, hi: int | None):
+    def __new__(cls, lo: int, hi: int):
         if lo < 0:
             raise ValueError(f"negative lower bound {lo}")
-        if hi is None:
-            if lo < 1:
-                raise ValueError("a pure lower-bound certificate needs lo >= 1")
-        elif hi < lo:
+        if hi < lo:
             raise RuleConflict(f"empty certificate interval [{lo}, {hi}]")
         return tuple.__new__(cls, (lo, hi))
 
@@ -83,14 +78,8 @@ class Cert(_Checked, _CertFields):
     def exact(cls, k: int) -> "Cert":
         return cls(k, k)
 
-    @classmethod
-    def at_least(cls, k: int) -> "Cert":
-        return cls(k, None)
-
     @property
     def kind(self) -> str:
-        if self.hi is None:
-            return "lower"
         return "exact" if self.lo == self.hi else "range"
 
     @property
@@ -106,8 +95,7 @@ class Cert(_Checked, _CertFields):
         return self.hi == 0
 
     def __add__(self, other: "Cert") -> "Cert":
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return Cert(self.lo + other.lo, hi)
+        return Cert(self.lo + other.lo, self.hi + other.hi)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
@@ -115,8 +103,6 @@ class Cert(_Checked, _CertFields):
     def __str__(self) -> str:
         if self.is_exact:
             return f"Exact({self.lo})"
-        if self.hi is None:
-            return f"LowerBound({self.lo})"
         return f"Range({self.lo},{self.hi})"
 
 
@@ -222,15 +208,14 @@ def _rule_bounds(params: SurfaceParams, dualized: bool, m: int, t: int) -> tuple
     chi(params, sheaf), because ell | dD makes ell*dNl = dD: the series
     is (m+1)*t*dNl +- (m(m+1)/2)*dD, which is degree(params, sheaf).
 
-    Both h^0 and h^1 always get a finite upper bound, so every CohCert is
-    Exact or Range and the surface sums may add the hi ends as ints:
+    Both h^0 and h^1 always get a finite upper bound, as every Cert
+    needs, so the surface sums may add the hi ends as ints:
       - R0 gives (0, 0), and R1 takes hi from line_bundle_h0_bounds,
         which returns an int on every branch;
       - for m >= 1, R5 sets hi to an int series sum, and R2, R4 and the
         nonspecial test only ever lower it (to 0, or to min(hi, chi));
       - h^1 is (0, 0) when nonspecial, or the transport of h^0, whose hi
         is h0.hi - chi.
-    Only zab_nonvanishing's witness builds a LowerBound.
 
     No Cert is returned, yet every bound returned is one a Cert accepts,
     so callers may sum them as ints and validate once:

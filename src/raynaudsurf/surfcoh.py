@@ -51,7 +51,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .curvecoh import ZERO_CERT, Cert, CohCert, TwistedSym, _rule_bounds, certify, line_bundle_h0_bounds
+from .curvecoh import ZERO_CERT, Cert, CohCert, TwistedSym, _rule_bounds, certify
 from .numclass import polarization_class
 from .params import SurfaceParams
 
@@ -231,26 +231,21 @@ def _window(p: int, ell: int) -> int:
 
 
 def zab_nonvanishing(params: SurfaceParams, a: int, b: int) -> Cert:
-    """Certificate for h^1(X, Z_{a,b}^{-1}).
+    """Certificate for h^1(X, Z_{a,b}^{-1}): the engine's, h_surface(params, 1, -1, a, b).
 
-    Z_{a,b}^{-1} pushes down to _terms(params, -a, -b): summand i has
-    mtw = [(i-a)/ell] - i(p+1)/ell and t = i*p - b.  The witness summand is
-    i = ell-b, in row [(ell-b-a)/ell], which is 0 when a <= ell-b and -1 or
-    lower once a > ell-b.  In row 0 its R^1 pi_* side is S^k(E)^v (x)
-    Nl^((ell-b)p - b - ell) with k = (ell-b)(p+1)/ell - 2, and for k >= 0,
-    i.e. (ell-b)(p+1) >= 2*ell, O(-kD) = Nl^(-k*ell) embeds in S^k(E)^v, and
-    the twist becomes Nl^((ell-b)p - b - ell - k*ell) = Nl^0 = O_C, whose
-    constant section gives the constructive LowerBound(1).
-    Otherwise (a lower row, or the witness symmetric power is the zero
-    sheaf, as at b = ell-1 with ell = p+1) the engine certificate is
-    returned.
+    Its lo is at least 1 on the witness region W: a <= ell-b and
+    (ell-b)(p+1) >= 2*ell.  Z_{a,b}^{-1} pushes down to _terms(params, -a, -b),
+    whose summand i = ell-b lies in row [(ell-b-a)/ell] = 0 on W, so its
+    mtw = -(ell-b)(p+1)/ell <= -2 and its R^1 pi_* side is S^k(E)^v (x)
+    Nl^(t-ell), k = -mtw - 2 >= 0, t = (ell-b)p - b, where t - ell = k*ell.
+    R3's unit section O(-kD) -> S^k(E)^v (R1's O_C at k = 0) gives that
+    side h^0 >= 1, which feeds h^1 by Leray.  Outside W (a lower row, or a
+    zero witness sheaf, as at b = ell-1 with ell = p+1) it may certify less.
     """
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
     if not 1 <= b <= params.ell - 1:
         raise ValueError(f"b must lie in 1..ell-1, got {b}")
-    if a <= params.ell - b and (params.ell - b) * (params.p + 1) >= 2 * params.ell:
-        return Cert.at_least(line_bundle_h0_bounds(params, 0)[0])
     return h_surface(params, 1, -1, a, b)
 
 

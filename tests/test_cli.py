@@ -9,6 +9,7 @@ import importlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -178,9 +179,9 @@ def test_term_text_matches_the_dict_reference():
                 terms += 1
     assert terms == 61 * (3 + 2 + 4 + 3 + 3)
     assert kinds == {"exact", "range"}
-    # A table row's "h" and a side's "h0"/"h1" share the Cert encoding; the
-    # engine never yields a LowerBound, so it is pinned here.
-    for cert in (Cert.exact(0), Cert(1, 4), Cert.at_least(1)):
+    # A table row's "h" and a side's "h0"/"h1" share the Cert encoding,
+    # pinned here on both kinds.
+    for cert in (Cert.exact(0), Cert.exact(3), Cert(1, 4), Cert(0, 7)):
         assert f"{{{_cert_fields(cert)}}}" == json.dumps(cert.to_json(), separators=(",", ":"))
 
 
@@ -282,15 +283,15 @@ def test_theorems_text_matches_the_dict_reference(capsys, sweep_small):
 
 def test_theorems_text_writes_stronger_entries(capsys, monkeypatch):
     # No real sweep yields a "stronger" entry, so a hand-built report holds
-    # them: one with a Range cert, and one with a LowerBound cert stored
-    # over an n-range, beside a proven range claim and an identity.
+    # them: one with a Range cert, and one with an Exact cert stored over
+    # an n-range, beside a proven range claim and an identity.
     import raynaudsurf.cli as cli_mod
     from raynaudsurf import ZERO_CERT, Cert, ThmEntry, ThmReport
 
     claims = (
         ThmEntry("h1_nonzero_near_zero", -1, "nonvanishing", Cert(0, 2), "stronger"),
         ThmEntry("h0_zero_negative", range(-5, 0), "vanishing", ZERO_CERT, "confirmed"),
-        ThmEntry("h1_nonzero_near_zero", range(-3, -1), "nonvanishing", Cert.at_least(1), "stronger"),
+        ThmEntry("h1_nonzero_near_zero", range(-3, -1), "nonvanishing", Cert.exact(1), "stronger"),
         ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed"),
     )
     reports = []
@@ -305,7 +306,7 @@ def test_theorems_text_writes_stronger_entries(capsys, monkeypatch):
     assert out.splitlines() == [_report_line(r) for r in reports]
     blob = json.loads(out.splitlines()[0])
     assert (blob["checks"], blob["confirmed"]) == (9, 6)
-    assert [(e["n"], e["h"]["kind"]) for e in blob["stronger"]] == [(-1, "range"), (-3, "lower"), (-2, "lower")]
+    assert [(e["n"], e["h"]["kind"]) for e in blob["stronger"]] == [(-1, "range"), (-3, "exact"), (-2, "exact")]
     assert f"unresolved: {3 * len(reports)}" in err
 
 
@@ -441,18 +442,38 @@ def test_help_and_parse_errors_are_pinned(capsys, monkeypatch):
     assert got == PARSER_MD5
 
 
+def checkout_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports the package from this checkout's src/."""
-    repo = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=checkout_env())
 
 
 def test_module_entry_point():
     proc = run_python("-m", "raynaudsurf", "invariants", *PS3_FLAGS)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fiber_genus"] == 3
+
+
+def test_closed_stdout_ends_the_run_by_sigpipe():
+    # The 2083-tuple sweep writes about 230 KB, more than a pipe buffer
+    # holds, so the run is still writing when the reader closes its end.
+    # run() restores SIGPIPE's default action: the process ends by the
+    # signal, with no "internal error" on stderr.
+    argv = ["theorems", "--pmax", "13", "--gmax", "40", "--ddmax", "40"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "raynaudsurf", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env()
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (-signal.SIGPIPE, b"")
 
 
 def test_main_freezes_nothing(capsys):
@@ -1054,7 +1075,7 @@ def _record_factories() -> dict:
         "SurfaceParams": params,
         "ClassP": lambda: ClassP(1, Fraction(-1, 2)),
         "ClassX": lambda: ClassX(Fraction(2, 4), 3),
-        "Cert": lambda: Cert(1, None),
+        "Cert": lambda: Cert(1, 4),
         "TwistedSym": lambda: TwistedSym(True, 2, -1),
         "CohCert": coh,
         "PTerm": lambda: PTerm(-2, 4),
@@ -1062,7 +1083,7 @@ def _record_factories() -> dict:
         "SurfCert": lambda: SurfCert(Cert(1, 1), Cert(4, 4), Cert(0, 0), -3, (term(),)),
         "ThmEntry": entry,
         "ThmReport": lambda: ThmReport(params(), (entry(),)),
-        "LocalCohReport": lambda: LocalCohReport(params(), -1, -1, {(2, -1): Cert(1, None)}),
+        "LocalCohReport": lambda: LocalCohReport(params(), -1, -1, {(2, -1): Cert(1, 4)}),
     }
 
 
@@ -1106,7 +1127,9 @@ def test_make_and_replace_check_like_the_constructor():
     assert ps1 == SurfaceParams(2, 4, 3, 3, 3, "tango")
     with pytest.raises(InvalidParams):
         ps1._replace(p=4)
-    assert Cert(1, 1)._replace(hi=None) == Cert.at_least(1)
+    assert Cert(1, 1)._replace(hi=4) == Cert(1, 4)
+    with pytest.raises(TypeError):
+        Cert(1, 1)._replace(hi=None)
     # Both coerce as the constructor does: a rational becomes a Fraction,
     # an int stays an int.
     half = ClassP._make([1, "1/2"])

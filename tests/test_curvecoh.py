@@ -14,10 +14,12 @@ from raynaudsurf import (
     certify,
     chi,
     degree,
+    h_surface,
     line_bundle_h0_bounds,
     rank,
 )
 from raynaudsurf.curvecoh import _clipped_series_sum
+from raynaudsurf.surfcoh import _terms
 
 from conftest import PS1, PS2, PS3, PS4
 
@@ -46,13 +48,15 @@ def sheaves():
 
 def test_cert_shapes():
     assert Cert.exact(0).kind == "exact" and Cert.exact(0).is_zero
-    assert Cert.at_least(2).kind == "lower" and Cert.at_least(2).certainly_nonzero
+    assert Cert(2, 5).kind == "range" and Cert(2, 5).certainly_nonzero
     assert Cert(1, 4).kind == "range"
     assert Cert(3, 3) == Cert.exact(3)
     with pytest.raises(ValueError):
         Cert(-1, 0)
-    with pytest.raises(ValueError):
-        Cert(0, None)  # an uninformative certificate is never produced
+    # Every certificate is a finite interval: no upper end is no certificate.
+    for lo in (0, 1):
+        with pytest.raises(TypeError):
+            Cert(lo, None)
     with pytest.raises(RuleConflict):
         Cert(3, 1)  # empty intervals only arise from buggy rules
 
@@ -60,18 +64,17 @@ def test_cert_shapes():
 def test_cert_addition():
     assert Cert.exact(2) + Cert.exact(3) == Cert.exact(5)
     assert Cert(0, 2) + Cert.exact(1) == Cert(1, 3)
-    assert Cert.at_least(1) + Cert(0, 5) == Cert.at_least(1)
+    assert Cert(1, 1) + Cert(0, 5) == Cert(1, 6)
     assert sum([], ZERO_CERT) == Cert.exact(0)
-    # A direct sum is the Cert.__add__ chain from ZERO_CERT: hi is None
-    # once a summand's is.
-    parts = [Cert(0, 2), Cert.at_least(1), Cert.exact(3)]
-    assert sum(parts, ZERO_CERT) == parts[0] + parts[1] + parts[2] == Cert.at_least(4)
+    # A direct sum is the Cert.__add__ chain from ZERO_CERT: both ends add.
+    parts = [Cert(0, 2), Cert(1, 4), Cert.exact(3)]
+    assert sum(parts, ZERO_CERT) == parts[0] + parts[1] + parts[2] == Cert(4, 9)
     assert sum(iter([Cert(1, 2), Cert(0, 5)]), ZERO_CERT) == Cert(1, 7)
 
 
 def test_cert_json():
     assert Cert(1, 4).to_json() == {"kind": "range", "lo": 1, "hi": 4}
-    assert Cert.at_least(1).to_json() == {"kind": "lower", "lo": 1, "hi": None}
+    assert Cert.exact(2).to_json() == {"kind": "exact", "lo": 2, "hi": 2}
     cc = certify(PS1, O_C)
     assert (cc.h1.kind, cc.h1.lo, cc.h1.hi, cc.chi) == ("exact", 4, 4, -3)
 
@@ -403,7 +406,7 @@ def test_explicit_tango_curves_contain_every_line_bundle_certificate(sweep_accep
                 cc = certify(params, TwistedSym(dualized, 0, t))
                 sheaves += 1
                 exact += cc.h0.is_exact
-                inside = [c.lo <= h <= (h if c.hi is None else c.hi) for c, h in ((cc.h0, h0), (cc.h1, h1))]
+                inside = [c.lo <= h <= c.hi for c, h in ((cc.h0, h0), (cc.h1, h1))]
                 if not all(inside):
                     violations.append((params, t, dualized, cc.h0, h0, cc.h1, h1))
     assert violations == []
@@ -553,3 +556,58 @@ def test_explicit_tango_curves_contain_every_rank_2_to_p_minus_1_certificate(swe
                         violations.append((params, s, cc.h0, h0, cc.h1, h1))
     assert violations == []
     assert sheaves == 1574
+
+
+def test_explicit_tango_surfaces_contain_every_zab_h1_certificate(sweep_acceptance):
+    """h^1(X, Z_{a,b}^{-1}) on the explicit surfaces, from the curve counts above.
+
+    psi is finite, so H^1(X, Z_{a,b}^{-1}) is the direct sum over the
+    summands O_P(mtw) (x) pi^* Nl^t of _terms(params, -a, -b) of their
+    H^1 on P.  Leray for pi, whose fibres are curves, gives
+    H^1(P, F) = H^1(C, pi_* F) (+) H^0(C, R^1 pi_* F): each summand adds
+    the curve h^1 of its pi_* side or the curve h^0 of its R^1 pi_* side.
+    Every side is S^k(E)^(v) (x) Nl^t with k <= p-1, and
+    S^k(E)^v (x) Nl^t = S^k(E) (x) Nl^(t-k*ell) (the dual step above), so
+    its h^0 is semigroup_h0 at k = 0, the line bundle, and at k = p-1,
+    F_*O_C (the rank-p proof), and kernel_counts for 1 <= k <= p-2; its
+    h^1 is h^0 - chi.  The cells are the ones criterion 09 reads,
+    a in 1..5 and b in 1..ell-1.  A truth on one surface may refute a
+    certificate but must never narrow one, so only containment is
+    asserted, with h^1 >= 1 on the witness region W (a <= ell-b and
+    (ell-b)(p+1) >= 2*ell), where zab_nonvanishing's docstring builds the
+    nonzero class.
+    """
+    curves = [(f, m) for f in sweep_acceptance if (m := artin_schreier_m(f)) is not None]
+    cells, witness, violations = 0, 0, []
+    for params, m in curves:
+        p, dNl, ell = params.p, params.dNl, params.ell
+        counts: dict = {}  # k -> kernel_counts(p, m, k, N) for the largest N asked so far
+
+        def curve_h0(dualized, k, t):
+            u = t - k * ell if dualized else t
+            if k in (0, p - 1):
+                return semigroup_h0(p, m, (u if k == 0 else p * u) * dNl)
+            n = p * u * dNl
+            if n < 0:
+                return 0
+            if len(counts.get(k, ())) <= n:
+                counts[k] = kernel_counts(p, m, k, 2 * n)
+            return counts[k][n]
+
+        for a in range(1, 6):
+            for b in range(1, ell):
+                truth = 0
+                for _, _, side in _terms(params, -a, -b):
+                    if side is not None:
+                        dualized, k, t = side
+                        assert k <= p - 1, (params, a, b, side)
+                        h0 = curve_h0(*side)
+                        truth += h0 if dualized else h0 - chi(params, TwistedSym(*side))
+                cert = h_surface(params, 1, -1, a, b)
+                cells += 1
+                in_w = a <= ell - b and (ell - b) * (p + 1) >= 2 * ell
+                witness += in_w
+                if not cert.lo <= truth <= cert.hi or (in_w and truth < 1):
+                    violations.append((params, a, b, cert, truth))
+    assert violations == []
+    assert (len(curves), cells, witness) == (21, 200, 59)

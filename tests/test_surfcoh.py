@@ -197,8 +197,7 @@ def test_noether_defect_on_pre_tango_tuples():
 
 
 def _intervals_meet(c, d):
-    hi = min(x for x in (c.hi, d.hi, math.inf) if x is not None)
-    return max(c.lo, d.lo) <= hi
+    return max(c.lo, d.lo) <= min(c.hi, d.hi)
 
 
 def test_serre_duality_on_smooth_tuples(sweep_acceptance):
@@ -593,21 +592,24 @@ def test_small_p_vanishing_below_window(sweep_acceptance):
 
 
 def test_unit_section_witness_codings_agree():
-    # The oracle row's result1_range, h1_nonvanishing_window and
-    # zab_nonvanishing code the same witness, the unit section of one
-    # R^1 pi_* side, since Z^n = Z_{-n,-n}^{-1}: the window is exactly the
-    # n in [-(ell-1), -1] where the twisted-family witness fires with
-    # a = b = -n.
+    # The oracle row's result1_range and h1_nonvanishing_window code the
+    # unit-section witness of one R^1 pi_* side; the engine reaches it
+    # through R3 (or R1 at k = 0).  The n in [-(ell-1), -1] where the
+    # engine certifies h^1(X, Z^n) >= 1 are exactly the window and exactly
+    # the n where an oracle summand carries the witness.
     for f in enumerate_families(13, 40, 40):
-        fired = [n for n in range(1 - f.ell, 0) if zab_nonvanishing(f, -n, -n) == Cert.at_least(1)]
-        assert result1_range(f) == fired == list(range(h1_nonvanishing_window(f), 0)), f
+        fired = [n for n in range(1 - f.ell, 0) if h_surface(f, 1, n).lo >= 1]
+        assert fired == result1_range(f) == list(range(h1_nonvanishing_window(f), 0)), f
 
 
 # -------------------------------------------------------------- twisted family
 
 
 def test_zab_examples():
-    assert zab_nonvanishing(PS1, 1, 1) == Cert.at_least(1)
+    # On PS1 (p = 2, ell = 3) the witness summand i = ell-b = 2 of
+    # Z_{1,1}^{-1} is PTerm(-2, 3), whose R^1 pi_* side is
+    # Nl^(3-3) = O_C: h^1 = h^0(O_C) = 1 (the other two have mtw = -1).
+    assert zab_nonvanishing(PS1, 1, 1) == Cert.exact(1)
     # On PS2 (p = 3, ell = 2) the witness summand i = ell-b = 1 of
     # Z_{2,1}^{-1} lies in row [(1-2)/2] = -1: it is PTerm(-3, 2), whose
     # R^1 pi_* side is S^1(E)^v (x) Nl^(2-2) = E^v, so h^1 = h^0(C, E^v)
@@ -627,29 +629,35 @@ def test_zab_examples():
 
 
 def test_zab_consistent_with_engine(sweep_small):
-    # The constructive bound must stay inside the engine interval.
+    # zab_nonvanishing reads the one-degree query (h_surface, via
+    # _rule_bounds); the all-degree record (surface_cert, via certify)
+    # must hold the same finite interval for h^1(X, Z_{a,b}^{-1}).
     for f in sweep_small[:15]:
         for a in (1, 2, 5):
             for b in range(1, f.ell):
-                lo = zab_nonvanishing(f, a, b).lo
-                eng = h_surface(f, 1, -1, a, b)
-                assert eng.hi is None or lo <= eng.hi, (f, a, b)
-
-
-def test_zab_corrected_window_always_fires(sweep_small):
-    # Sound version of the non-vanishing family: for b within the window
-    # b <= ell - ceil(2 ell / (p+1)) and a <= ell - b (the witness summand
-    # i = ell-b in row 0) the constants always embed.  For larger a the
-    # witness sits in a lower row and the engine certificate is returned.
-    for f in sweep_small:
-        bmax = f.ell - math.ceil(Fraction(2 * f.ell, f.p + 1))
-        for b in range(1, bmax + 1):
-            for a in (1, 3, 5):
                 cert = zab_nonvanishing(f, a, b)
-                if a <= f.ell - b:
+                assert cert.lo <= cert.hi, (f, a, b)
+                assert cert == surface_cert(f, -1, a, b).h(1), (f, a, b)
+
+
+def test_zab_corrected_window_always_fires():
+    # zab_nonvanishing is the engine's certificate, with no closed form
+    # over it.  The engine alone must certify h^1 >= 1 on the witness
+    # region W: b <= ell - ceil(2 ell / (p+1)), so the witness summand
+    # i = ell-b has a symmetric power, and a <= ell - b, so it sits in
+    # row 0, where the constants embed (zab_nonvanishing's docstring).
+    cells = witness = 0
+    for f in enumerate_families(13, 40, 40):
+        bmax = f.ell - math.ceil(Fraction(2 * f.ell, f.p + 1))
+        for b in range(1, f.ell):
+            for a in range(1, 6):
+                cert = zab_nonvanishing(f, a, b)
+                assert cert == h_surface(f, 1, -1, a, b), (f, a, b)
+                cells += 1
+                if b <= bmax and a <= f.ell - b:
+                    witness += 1
                     assert cert.lo >= 1, (f, a, b)
-                else:
-                    assert cert == h_surface(f, 1, -1, a, b), (f, a, b)
+    assert (cells, witness) == (17670, 5073)
 
 
 # ------------------------------------------------------------------- predicates
