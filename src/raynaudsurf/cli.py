@@ -27,7 +27,7 @@ from .numclass import (
 )
 from .params import InvalidParams, Structure, SurfaceParams, enumerate_families, is_normal, is_smooth, validate
 from .sectionring import local_cohomology_report
-from .surfcoh import NMAX, TermReduction, TheoremContradicted, surface_cert, theorem_predicates
+from .surfcoh import NMAX, TheoremContradicted, surface_cert, theorem_predicates
 
 
 class SystemExit2(Exception):
@@ -112,9 +112,7 @@ def _cert_fields(h: Cert) -> str:
     return f'"kind":"{h.kind}","lo":{h.lo},"hi":{h.hi}'
 
 
-def _side_json(cc: CohCert | None) -> str:
-    if cc is None:
-        return "null"
+def _side_json(cc: CohCert) -> str:
     dual, m, t = cc.sheaf
     c = cc.chi
     return (
@@ -123,17 +121,22 @@ def _side_json(cc: CohCert | None) -> str:
     )
 
 
-def _term_json(rec: TermReduction) -> str:
-    """One `table` term as compact JSON, with the bytes json.dumps would write.
+def _term_json(term: tuple[int, int, CohCert | None]) -> str:
+    """One `table` term, a SurfCert.terms row, as the bytes json.dumps would write.
 
-    The values are ints, true/false/null and the two Cert kinds, so
-    nothing needs escaping and an f-string writes them directly.
+    Its one side prints under "r1pi" when dualized, else under "pi", and
+    chi carries the Leray sign.  Ints, true/false/null and the two Cert
+    kinds need no escaping, so an f-string writes them directly.
     """
-    term = rec.term
-    return (
-        f'{{"mtw":{term.mtw},"t":{term.t},"pi":{_side_json(rec.pushforward)},'
-        f'"r1pi":{_side_json(rec.derived)},"chi":{rec.chi}}}'
-    )
+    mtw, t, cc = term
+    if cc is None:
+        pi = r1pi = "null"
+        chi = 0
+    elif cc.sheaf.dualized:
+        pi, r1pi, chi = "null", _side_json(cc), -cc.chi
+    else:
+        pi, r1pi, chi = _side_json(cc), "null", cc.chi
+    return f'{{"mtw":{mtw},"t":{t},"pi":{pi},"r1pi":{r1pi},"chi":{chi}}}'
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

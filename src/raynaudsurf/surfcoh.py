@@ -25,7 +25,8 @@ from _side, the reduction rule, and every reader iterates it.  Leray for
 pi, whose fibres are curves, gives H^i(P, F) = H^i(C, pi_* F) (+)
 H^(i-1)(C, R^1 pi_* F), so the curve h^j of side k (0 for pi_*, 1 for
 R^1 pi_*) feeds the surface h^(k+j).  surface_cert certifies each present
-side and sums by that rule, for `table`, which prints chi and the terms;
+side and sums by that rule, for `table`, which prints chi and the terms:
+each term is the row _terms yields, (mtw, t) with the side's CohCert;
 h_surface, the one-degree query of theorem_predicates and of the section
 ring, adds the ints of the curve rules' core _rule_bounds over the sides
 its degree reads.
@@ -56,8 +57,6 @@ from .numclass import polarization_class
 from .params import SurfaceParams
 
 __all__ = [
-    "PTerm",
-    "TermReduction",
     "SurfCert",
     "TheoremContradicted",
     "ThmEntry",
@@ -76,13 +75,6 @@ NMAX = 100
 def _check_degree(i: int) -> None:
     if i not in (0, 1, 2):
         raise ValueError(f"i must be 0, 1 or 2, got {i}")
-
-
-class PTerm(NamedTuple):
-    """O_P(mtw) (x) pi^* Nl^t; mtw is integral because ell | i(p+1)."""
-
-    mtw: int
-    t: int
 
 
 def _side(ell: int, mtw: int, t: int) -> tuple[bool, int, int] | None:
@@ -114,15 +106,6 @@ def _terms(params: SurfaceParams, m: int, tw: int) -> Iterator[tuple[int, int, t
         yield mtw, t, _side(ell, mtw, t)
 
 
-class TermReduction(NamedTuple):
-    """One pushforward term with its curve certificates and chi contribution."""
-
-    term: PTerm
-    pushforward: CohCert | None  # pi_* side, present when mtw >= 0
-    derived: CohCert | None      # R^1 pi_* side, present when mtw <= -2
-    chi: int                     # chi(pi_* part) - chi(R^1 pi_* part)
-
-
 class SurfCert(NamedTuple):
     """Certificates for h^0, h^1, h^2 of one power of the polarization."""
 
@@ -130,7 +113,7 @@ class SurfCert(NamedTuple):
     h1: Cert
     h2: Cert
     chi: int
-    terms: tuple[TermReduction, ...]
+    terms: tuple[tuple[int, int, CohCert | None], ...]  # (mtw, t, the side's cert) per summand
 
     def h(self, i: int) -> Cert:
         _check_degree(i)
@@ -144,8 +127,10 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     One pass over the terms certifies every present side once (a term has
     at most one, _side).  By Leray, the curve h^j of side k (0 for pi_*,
     1 for R^1 pi_*) feeds the surface h^(k+j); the interval ends are
-    summed as ints (certify bounds every hi), and chi is the signed sum of
-    the per-term Euler characteristics.
+    summed as ints (certify bounds every hi), and chi adds each side's
+    chi with sign (-1)^k.  Each entry of terms is the _terms row
+    (mtw, t) with that side's CohCert, None at mtw = -1; the cert's
+    sheaf.dualized is k.
     A query for one degree should use h_surface, which bounds only the
     sides that degree reads.
 
@@ -157,26 +142,21 @@ def surface_cert(params: SurfaceParams, n: int, a: int = 1, b: int = 1) -> SurfC
     lo = [0, 0, 0]
     hi = [0, 0, 0]
     total_chi = 0
-    recs: list[TermReduction] = []
+    terms: list[tuple[int, int, CohCert | None]] = []
     for mtw, t, side in _terms(params, a * n, b * n):
-        if side is None:
-            recs.append(TermReduction(PTerm(mtw, t), None, None, 0))
-            continue
-        cert = certify(params, TwistedSym(*side))
-        _, c, (lo0, hi0), (lo1, hi1) = cert
-        k = side[0]  # dualized is the side's index: 1 for R^1 pi_*
-        lo[k] += lo0
-        hi[k] += hi0
-        lo[k + 1] += lo1
-        hi[k + 1] += hi1
-        if k:
-            total_chi -= c
-            recs.append(TermReduction(PTerm(mtw, t), None, cert, -c))
-        else:
-            total_chi += c
-            recs.append(TermReduction(PTerm(mtw, t), cert, None, c))
+        cert = None
+        if side is not None:
+            cert = certify(params, TwistedSym(*side))
+            _, c, (lo0, hi0), (lo1, hi1) = cert
+            k = side[0]  # dualized is the side's index: 1 for R^1 pi_*
+            lo[k] += lo0
+            hi[k] += hi0
+            lo[k + 1] += lo1
+            hi[k + 1] += hi1
+            total_chi += -c if k else c
+        terms.append((mtw, t, cert))
     h0, h1, h2 = map(Cert, lo, hi)
-    return SurfCert(h0, h1, h2, total_chi, tuple(recs))
+    return SurfCert(h0, h1, h2, total_chi, tuple(terms))
 
 
 def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> Cert:

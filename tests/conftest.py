@@ -9,7 +9,6 @@ import pytest
 
 from raynaudsurf import (
     ZERO_CERT,
-    PTerm,
     Structure,
     SurfaceParams,
     TwistedSym,
@@ -28,8 +27,9 @@ PS4 = SurfaceParams(5, 9, 3, 3, 3, Structure.PRETANGO)
 def oracle_decompose(params, m, tw):
     """The direct-image row of O_X(m*Etilde) (x) phi^* Nl^tw, from the valuation condition.
 
-    An enumeration independent of the engine's _terms: push each graded
-    piece M^i (exact fractions, then certified-integral) through the twist.
+    An enumeration independent of the engine's _terms, as (mtw, t) pairs:
+    push each graded piece M^i (exact fractions, then certified-integral)
+    through the twist.
     The E-twist of summand i comes from the valuation condition, whatever
     the sign of m: f*z^i (z^ell = the equation of E) has a pole of order at
     most m along Etilde iff ell*v_E(f) + i >= -m, i.e.
@@ -39,7 +39,7 @@ def oracle_decompose(params, m, tw):
     drop = [Fraction(i * (p + 1), ell) for i in range(ell)]
     assert all(d.denominator == 1 for d in drop)
     drop = [int(d) for d in drop]
-    return [PTerm(-math.ceil(Fraction(-m - i, ell)) - drop[i], i * p + tw) for i in range(ell)]
+    return [(-math.ceil(Fraction(-m - i, ell)) - drop[i], i * p + tw) for i in range(ell)]
 
 
 def h1neg_closed_form(params, n):

@@ -124,10 +124,10 @@ def test_table_json_encodes_each_twists_terms_once(capsys, monkeypatch):
     calls = 0
     term_json = cli_mod._term_json
 
-    def counting(rec):
+    def counting(term):
         nonlocal calls
         calls += 1
-        return term_json(rec)
+        return term_json(term)
 
     monkeypatch.setattr(cli_mod, "_term_json", counting)
     code, out, _ = run_cli(capsys, ["table", *PS3_FLAGS, *WINDOW])
@@ -149,14 +149,21 @@ def _reference_side(cc):
     }
 
 
-def _reference_term(rec):
-    """The JSON shape of one `table` term, built as a dict (the text encoder's oracle)."""
+def _reference_term(term):
+    """The JSON shape of one `table` term, built as a dict (the text encoder's oracle).
+
+    The side is routed by the sign of mtw, not by the cert's own sheaf:
+    mtw >= 0 has a pi_* side, mtw <= -2 an R^1 pi_* side with chi counted
+    negatively, and mtw = -1 neither.
+    """
+    mtw, t, cc = term
+    side = _reference_side(cc)
     return {
-        "mtw": rec.term.mtw,
-        "t": rec.term.t,
-        "pi": _reference_side(rec.pushforward),
-        "r1pi": _reference_side(rec.derived),
-        "chi": rec.chi,
+        "mtw": mtw,
+        "t": t,
+        "pi": side if mtw >= 0 else None,
+        "r1pi": side if mtw <= -2 else None,
+        "chi": 0 if mtw == -1 else cc.chi if mtw >= 0 else -cc.chi,
     }
 
 
@@ -169,10 +176,10 @@ def test_term_text_matches_the_dict_reference():
     kinds, terms = set(), 0
     for params, a, b in ((PS1, 1, 1), (PS2, 1, 1), (PS3, 1, 1), (PS4, 1, 1), (PS1, 2, 1)):
         for n in range(-30, 31):
-            for rec in surface_cert(params, n, a, b).terms:
-                text = _term_json(rec)
-                want = _reference_term(rec)
-                assert json.loads(text) == want, (params, n, a, b, rec.term)
+            for term in surface_cert(params, n, a, b).terms:
+                text = _term_json(term)
+                want = _reference_term(term)
+                assert json.loads(text) == want, (params, n, a, b, term[:2])
                 # The table's bytes: json.dumps of the dict with compact separators.
                 assert text == json.dumps(want, separators=(",", ":"))
                 kinds |= {side[h]["kind"] for side in (want["pi"], want["r1pi"]) if side for h in ("h0", "h1")}
@@ -325,9 +332,9 @@ TANGO1019_FLAGS = ["-p", "1019", "-g", "519691", "--dD", "1020", "-e", "1020", "
 
 def test_section_ring_never_reads_surface_records(capsys, monkeypatch):
     # The section ring's pieces are single degrees, read through h_surface.
-    # surface_cert builds ell TermReduction records per twist and caches
-    # them, so a +-100 window at ell = 1020 would hold about 200000 records;
-    # if section-ring ever goes back to it, this run raises.
+    # surface_cert certifies every side of a twist, ell = 1020 term rows,
+    # where h_surface bounds only those its degree reads; if section-ring
+    # ever goes back to it, this run raises.
     from raynaudsurf import h_surface, sectionring, surfcoh
     from raynaudsurf.params import validate
 
@@ -964,8 +971,8 @@ def test_invariants_at_large_ell_in_bounded_time(capsys):
 # alias) has to be added here on purpose.
 PUBLIC_NAMES = [
     "Cert", "ClassP", "ClassX", "CohCert", "ETILDE", "E_P", "FIBER_P", "FIBER_X",
-    "InvalidParams", "LocalCohReport", "PTerm", "RuleConflict", "Structure", "SurfCert",
-    "SurfaceParams", "TermReduction", "TheoremContradicted", "ThmEntry", "ThmReport",
+    "InvalidParams", "LocalCohReport", "RuleConflict", "Structure", "SurfCert",
+    "SurfaceParams", "TheoremContradicted", "ThmEntry", "ThmReport",
     "TwistedSym", "ZERO_CERT", "branch_curve_class", "canonical_P", "canonical_X",
     "certify", "check", "chi", "cusp_exponents", "degree", "enumerate_families",
     "fiber_genus", "frac_str", "h1_nonvanishing_window", "h_surface", "intersect_P",
@@ -979,7 +986,7 @@ PUBLIC_NAMES = [
 def test_public_surface():
     import raynaudsurf
 
-    assert len(PUBLIC_NAMES) == 54
+    assert len(PUBLIC_NAMES) == 52
     assert sorted(raynaudsurf.__all__) == PUBLIC_NAMES
     assert len(set(raynaudsurf.__all__)) == len(raynaudsurf.__all__)
     for name in raynaudsurf.__all__:
@@ -1055,8 +1062,8 @@ def _record_factories() -> dict:
     from fractions import Fraction
 
     from raynaudsurf import (
-        Cert, ClassP, ClassX, CohCert, LocalCohReport, PTerm, SurfaceParams, SurfCert,
-        TermReduction, ThmEntry, ThmReport, TwistedSym,
+        Cert, ClassP, ClassX, CohCert, LocalCohReport, SurfaceParams, SurfCert,
+        ThmEntry, ThmReport, TwistedSym,
     )
 
     def params():
@@ -1064,9 +1071,6 @@ def _record_factories() -> dict:
 
     def coh():
         return CohCert(TwistedSym(False, 0, 0), -3, Cert(1, 1), Cert(4, 4))
-
-    def term():
-        return TermReduction(PTerm(0, 0), coh(), None, -3)
 
     def entry():
         return ThmEntry("h2_vanishes_high", 6, "vanishing", Cert(0, 0), "confirmed")
@@ -1078,9 +1082,7 @@ def _record_factories() -> dict:
         "Cert": lambda: Cert(1, 4),
         "TwistedSym": lambda: TwistedSym(True, 2, -1),
         "CohCert": coh,
-        "PTerm": lambda: PTerm(-2, 4),
-        "TermReduction": term,
-        "SurfCert": lambda: SurfCert(Cert(1, 1), Cert(4, 4), Cert(0, 0), -3, (term(),)),
+        "SurfCert": lambda: SurfCert(Cert(1, 1), Cert(4, 4), Cert(0, 0), -3, ((0, 0, coh()),)),
         "ThmEntry": entry,
         "ThmReport": lambda: ThmReport(params(), (entry(),)),
         "LocalCohReport": lambda: LocalCohReport(params(), -1, -1, {(2, -1): Cert(1, 4)}),

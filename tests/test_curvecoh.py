@@ -17,11 +17,12 @@ from raynaudsurf import (
     h_surface,
     line_bundle_h0_bounds,
     rank,
+    surface_cert,
 )
 from raynaudsurf.curvecoh import _clipped_series_sum
 from raynaudsurf.surfcoh import _terms
 
-from conftest import PS1, PS2, PS3, PS4
+from conftest import PS1, PS2, PS3, PS4, oracle_decompose
 
 O_C = TwistedSym(True, 0, 0)
 
@@ -558,6 +559,33 @@ def test_explicit_tango_curves_contain_every_rank_2_to_p_minus_1_certificate(swe
     assert sheaves == 1574
 
 
+def explicit_curve_h0(params, m):
+    """h^0 of S^k(E)^(v) (x) Nl^t, 0 <= k <= p-1, on y^p - y = x^m, as a function of (dualized, k, t).
+
+    S^k(E)^v (x) Nl^t = S^k(E) (x) Nl^(t-k*ell) (the dual step of
+    test_explicit_tango_curves_contain_every_rank_2_to_p_minus_1_certificate),
+    so the count is semigroup_h0 at k = 0, the line bundle, and at k = p-1,
+    F_*O_C (test_explicit_tango_curves_contain_every_rank_p_certificate),
+    and kernel_counts for 1 <= k <= p-2, kept per k and recomputed at twice
+    the length once a longer prefix is asked for.
+    """
+    p, dNl, ell = params.p, params.dNl, params.ell
+    counts: dict = {}  # k -> kernel_counts(p, m, k, N) for the largest N asked so far
+
+    def curve_h0(dualized, k, t):
+        u = t - k * ell if dualized else t
+        if k in (0, p - 1):
+            return semigroup_h0(p, m, (u if k == 0 else p * u) * dNl)
+        n = p * u * dNl
+        if n < 0:
+            return 0
+        if len(counts.get(k, ())) <= n:
+            counts[k] = kernel_counts(p, m, k, 2 * n)
+        return counts[k][n]
+
+    return curve_h0
+
+
 def test_explicit_tango_surfaces_contain_every_zab_h1_certificate(sweep_acceptance):
     """h^1(X, Z_{a,b}^{-1}) on the explicit surfaces, from the curve counts above.
 
@@ -580,20 +608,8 @@ def test_explicit_tango_surfaces_contain_every_zab_h1_certificate(sweep_acceptan
     curves = [(f, m) for f in sweep_acceptance if (m := artin_schreier_m(f)) is not None]
     cells, witness, violations = 0, 0, []
     for params, m in curves:
-        p, dNl, ell = params.p, params.dNl, params.ell
-        counts: dict = {}  # k -> kernel_counts(p, m, k, N) for the largest N asked so far
-
-        def curve_h0(dualized, k, t):
-            u = t - k * ell if dualized else t
-            if k in (0, p - 1):
-                return semigroup_h0(p, m, (u if k == 0 else p * u) * dNl)
-            n = p * u * dNl
-            if n < 0:
-                return 0
-            if len(counts.get(k, ())) <= n:
-                counts[k] = kernel_counts(p, m, k, 2 * n)
-            return counts[k][n]
-
+        p, ell = params.p, params.ell
+        curve_h0 = explicit_curve_h0(params, m)
         for a in range(1, 6):
             for b in range(1, ell):
                 truth = 0
@@ -611,3 +627,50 @@ def test_explicit_tango_surfaces_contain_every_zab_h1_certificate(sweep_acceptan
                     violations.append((params, a, b, cert, truth))
     assert violations == []
     assert (len(curves), cells, witness) == (21, 200, 59)
+
+
+def test_explicit_tango_surfaces_contain_every_computable_certificate(sweep_acceptance):
+    """Every h^i(X, Z^n) on the explicit surfaces whose sides all have rank <= p.
+
+    psi is finite, so H^i(X, Z^n) is the direct sum of H^i(P, F) over the
+    summands F = O_P(mtw) (x) pi^* Nl^t of the direct-image row, taken here
+    from conftest.oracle_decompose rather than the engine's _terms.  Leray
+    for pi, whose fibres are curves, gives H^i(P, F) = H^i(C, pi_* F) (+)
+    H^(i-1)(C, R^1 pi_* F), with pi_* O_P(mtw) = S^mtw(E) for mtw >= 0 and
+    R^1 pi_* O_P(mtw) = S^(-mtw-2)(E)^v (x) O(-D), O(-D) = Nl^(-ell), for
+    mtw <= -2 (mtw = -1 has neither).  So h^i sums the curve h^i of the
+    pi_* sides (i <= 1) and the curve h^(i-1) of the R^1 pi_* sides
+    (i >= 1).  A cell is computable when every side it reads has
+    k <= p-1, where explicit_curve_h0 gives the curve h^0 and h^1 is
+    h^0 - chi.  The cells are i in 0..2 and n in [-20, p(p+1)+3*ell], the
+    sweep cells of these surfaces.  A truth on one surface may refute a
+    certificate but must never narrow one, so only containment is asserted.
+    """
+    curves = [(f, m) for f in sweep_acceptance if (m := artin_schreier_m(f)) is not None]
+    cells, computable, violations = 0, 0, []
+    for params, m in curves:
+        p, ell = params.p, params.ell
+        curve_h0 = explicit_curve_h0(params, m)
+        for n in range(-20, p * (p + 1) + 3 * ell + 1):
+            # (Leray index, sheaf) of each side of the row.
+            sides = [
+                (0, TwistedSym(False, mtw, t)) if mtw >= 0 else (1, TwistedSym(True, -mtw - 2, t - ell))
+                for mtw, t in oracle_decompose(params, n, n)
+                if mtw != -1
+            ]
+            sc = surface_cert(params, n)
+            for i in range(3):
+                cells += 1
+                read = [(i - k, s) for k, s in sides if 0 <= i - k <= 1]
+                if any(s.m > p - 1 for _, s in read):
+                    continue
+                computable += 1
+                truth = 0
+                for j, s in read:
+                    h0 = curve_h0(*s)
+                    truth += h0 - chi(params, s) if j else h0
+                cert = sc.h(i)
+                if not cert.lo <= truth <= cert.hi:
+                    violations.append((params, i, n, cert, truth))
+    assert violations == []
+    assert (len(curves), cells, computable) == (21, 3000, 1698)

@@ -14,7 +14,6 @@ from raynaudsurf import (
     ZERO_CERT,
     Cert,
     ClassX,
-    PTerm,
     Structure,
     SurfaceParams,
     ThmEntry,
@@ -45,18 +44,18 @@ from conftest import PS1, PS2, PS3, PS4, h1neg_closed_form, oracle_decompose, re
 
 
 def _row(params, m, tw):
-    """The engine's direct-image row, as PTerm records."""
-    return [PTerm(mtw, t) for mtw, t, _ in _terms(params, m, tw)]
+    """The engine's direct-image row, as (mtw, t) pairs."""
+    return [(mtw, t) for mtw, t, _ in _terms(params, m, tw)]
 
 
 def test_decompose_examples():
-    assert _row(PS1, -1, -1) == [PTerm(-1, -1), PTerm(-1, 1), PTerm(-2, 3)]
-    assert _row(PS1, 0, 0) == [PTerm(0, 0), PTerm(-1, 2), PTerm(-2, 4)]
+    assert _row(PS1, -1, -1) == [(-1, -1), (-1, 1), (-2, 3)]
+    assert _row(PS1, 0, 0) == [(0, 0), (-1, 2), (-2, 4)]
     assert _row(PS3, 1, 1) == [
-        PTerm(0, 1),
-        PTerm(-1, 4),
-        PTerm(-2, 7),
-        PTerm(-2, 10),
+        (0, 1),
+        (-1, 4),
+        (-2, 7),
+        (-2, 10),
     ]
 
 
@@ -80,7 +79,7 @@ def test_decompose_matches_oracle(sweep_small):
                 assert terms == oracle_decompose(f, a * n, b * n), (f, n, a, b)
                 assert len(terms) == f.ell
                 if n < 0:
-                    assert all(term.mtw < 0 for term in terms), (f, n, a, b)
+                    assert all(mtw < 0 for mtw, _ in terms), (f, n, a, b)
                 cells += 1
     # (1, ell-1) is (1, 1) at ell = 2: 8 of the 25 sweep tuples have ell = 2
     # and 17 ell = 3, so 25 * (8 * 2 + 17 * 3) on them, 145 * 3 on ELL24
@@ -90,8 +89,8 @@ def test_decompose_matches_oracle(sweep_small):
 
 def test_decompose_twist_generalizes():
     # Z_{2,1}^{-1} has the Etilde exponent doubled but the Nl twist kept:
-    # on PS1 (p = 2, ell = 3) summand i is PTerm([(i-2)/3] - i, 2i - 1).
-    assert _row(PS1, -2, -1) == [PTerm(-1, -1), PTerm(-2, 1), PTerm(-2, 3)]
+    # on PS1 (p = 2, ell = 3) summand i is ([(i-2)/3] - i, 2i - 1).
+    assert _row(PS1, -2, -1) == [(-1, -1), (-2, 1), (-2, 3)]
 
 
 # -------------------------------------------------------------------- reduction
@@ -291,14 +290,15 @@ def test_chi_example_ps1():
 
 
 def test_term_records_carry_reductions():
+    # Each term is the row (mtw, t) with its one side's CohCert, None at
+    # mtw = -1; here only the last summand has a side, an R^1 pi_* one.
     sc = surface_cert(PS1, -1)
-    assert [r.term for r in sc.terms] == oracle_decompose(PS1, -1, -1)
-    assert sc.terms[0].pushforward is None and sc.terms[0].derived is None
-    last = sc.terms[2]
-    assert last.derived is not None
-    assert last.derived.sheaf == TwistedSym(True, 0, 0)
-    assert last.chi == -chi(PS1, TwistedSym(True, 0, 0)) == 3
-    assert sum(r.chi for r in sc.terms) == sc.chi
+    assert [(mtw, t) for mtw, t, _ in sc.terms] == oracle_decompose(PS1, -1, -1)
+    assert sc.terms[0][2] is None and sc.terms[1][2] is None
+    _, _, last = sc.terms[2]
+    assert last.sheaf == TwistedSym(True, 0, 0)
+    assert last.chi == chi(PS1, TwistedSym(True, 0, 0)) == -3
+    assert sc.chi == -last.chi == 3
 
 
 def test_cache_bound_drops_no_hit_and_stays_bounded(sweep_acceptance, capsys):
@@ -386,10 +386,9 @@ def _leray_reference(f, n, a, b):
 
 def test_integer_sums_match_the_cert_chain(sweep_small):
     # The int sums of surface_cert and h_surface against the chain of
-    # validated Certs of _leray_reference.
-    # certify always bounds hi, so these sums never meet hi = None and every
-    # surface certificate is bounded; test_cert_addition pins the hi = None
-    # rule of Cert.__add__.  (1, ell-1) gives the Nl exponent b > 1 wherever
+    # validated Certs of _leray_reference.  A term's chi sign is read from
+    # its mtw (pi_* side for mtw >= 0, R^1 pi_* side for mtw <= -2), not
+    # from its cert.  (1, ell-1) gives the Nl exponent b > 1 wherever
     # ell >= 3.
     cells = 0
     for f in sweep_small:
@@ -397,11 +396,12 @@ def test_integer_sums_match_the_cert_chain(sweep_small):
             for n in range(-30, 31):
                 *want, want_chi = _leray_reference(f, n, a, b)
                 sc = surface_cert(f, n, a, b)
-                assert sc.chi == sum(r.chi for r in sc.terms) == want_chi, (f, n, a, b)
+                signed = sum(cc.chi if mtw >= 0 else -cc.chi for mtw, _, cc in sc.terms if mtw != -1)
+                assert sc.chi == signed == want_chi, (f, n, a, b)
                 for i in range(3):
                     assert sc.h(i) == h_surface(f, i, n, a, b) == want[i], (f, i, n, a, b)
                     assert type(sc.h(i)) is Cert
-                    assert sc.h(i).hi is not None
+                    assert type(sc.h(i).hi) is int
                     cells += 1
     assert cells == len(sweep_small) * 3 * 61 * 3
 
@@ -430,7 +430,7 @@ def test_h_surface_certifies_only_what_it_reads(sweep_small, rule_calls):
     total = 0
     for f in sweep_small:
         for n in range(-30, 31):
-            mtws = [term.mtw for term in oracle_decompose(f, n, n)]
+            mtws = [mtw for mtw, _ in oracle_decompose(f, n, n)]
             for i in range(3):
                 rule_calls[0] = 0
                 h_surface(f, i, n)
@@ -457,12 +457,11 @@ def test_inline_chi_matches_riemann_roch(sweep_small):
             z = polarization_class(f, a, b)
             for n in range(-30, 31):
                 sc = surface_cert(f, n, a, b)
-                for rec in sc.terms:
-                    for cc in (rec.pushforward, rec.derived):
-                        if cc is not None:
-                            assert cc.chi == chi(f, cc.sheaf), (f, n, a, b, cc.sheaf)
-                            sides += 1
-                want_sides += sum(term.mtw != -1 for term in oracle_decompose(f, a * n, b * n))
+                for _, _, cc in sc.terms:
+                    if cc is not None:
+                        assert cc.chi == chi(f, cc.sheaf), (f, n, a, b, cc.sheaf)
+                        sides += 1
+                want_sides += sum(mtw != -1 for mtw, _ in oracle_decompose(f, a * n, b * n))
                 zn = n * z
                 twice = intersect_X(f, zn, zn) - intersect_X(f, zn, kx)
                 assert twice % 2 == 0 and sc.chi == chi0 + twice // 2, (f, n, a, b)
@@ -480,10 +479,10 @@ def test_h0_and_h2_checks_certify_nothing(sweep_acceptance, rule_calls):
         rule_calls[0] = 0
         report = theorem_predicates(f)
         h1_sides = sum(
-            term.mtw != -1
+            mtw != -1
             for e in report.entries
             if e.theorem == "h1_nonzero_near_zero"
-            for term in oracle_decompose(f, e.n, e.n)
+            for mtw, _ in oracle_decompose(f, e.n, e.n)
         )
         assert rule_calls[0] == h1_sides, f
 
@@ -607,11 +606,11 @@ def test_unit_section_witness_codings_agree():
 
 def test_zab_examples():
     # On PS1 (p = 2, ell = 3) the witness summand i = ell-b = 2 of
-    # Z_{1,1}^{-1} is PTerm(-2, 3), whose R^1 pi_* side is
+    # Z_{1,1}^{-1} is (-2, 3), whose R^1 pi_* side is
     # Nl^(3-3) = O_C: h^1 = h^0(O_C) = 1 (the other two have mtw = -1).
     assert zab_nonvanishing(PS1, 1, 1) == Cert.exact(1)
     # On PS2 (p = 3, ell = 2) the witness summand i = ell-b = 1 of
-    # Z_{2,1}^{-1} lies in row [(1-2)/2] = -1: it is PTerm(-3, 2), whose
+    # Z_{2,1}^{-1} lies in row [(1-2)/2] = -1: it is (-3, 2), whose
     # R^1 pi_* side is S^1(E)^v (x) Nl^(2-2) = E^v, so h^1 = h^0(C, E^v)
     # (the i = 0 summand has mtw = -1), which is 0 because E is a non-split
     # extension of O(D) by O_C.
