@@ -27,7 +27,11 @@ from .numclass import (
 )
 from .params import InvalidParams, Structure, SurfaceParams, enumerate_families, is_normal, is_smooth, validate
 from .sectionring import local_cohomology_report
-from .surfcoh import NMAX, TheoremContradicted, surface_cert, theorem_predicates
+from .surfcoh import TheoremContradicted, surface_cert, theorem_predicates
+
+
+# |n| cap on every CLI twist window: at most 2*NMAX + 1 = 201 twists.
+NMAX = 100
 
 
 class SystemExit2(Exception):
@@ -324,8 +328,8 @@ def _cmd_section_ring(args: argparse.Namespace) -> int:
         print(_dump(report.to_json()))
     else:
         print(f"graded local cohomology of the section ring, {params.to_json()}")
-        for (j, n) in sorted(report.pieces):
-            print(f"  H^{j}_m degree {n:>4}: {report.pieces[(j, n)]}")
+        for (j, n), cert in report.pieces:
+            print(f"  H^{j}_m degree {n:>4}: {cert}")
     return 0
 
 

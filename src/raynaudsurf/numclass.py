@@ -10,9 +10,9 @@ hold the two coefficients and share one algebra.
 Every number computed here is an integer, because ell divides both dD and
 p+1: Etilde^2 = dD/ell is deg Nl, K_X's pulled-back degree is
 2g-2 - w*deg Nl with w = p*ell-p-ell, and the coefficients of every L_i
-are integers (li_class).  So classes hold ints; a coefficient passed in as
-a rational (a Fraction, or a string such as "1/2") is kept exact as a
-Fraction, and only then is fractions imported.
+are integers (li_class).  So classes hold ints: SurfaceParams is the one
+place input is checked, a class is its two coefficients as given, and the
+package never imports fractions.
 
 is_ample_P tests a class against the two edges of the curve cone of P, a
 fiber and the branch curve C'.  is_ample_KX decides the ampleness of K_X
@@ -22,14 +22,9 @@ exactly then.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .params import SurfaceParams, _Checked
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    RatLike = int | Fraction
+from .params import SurfaceParams
 
 __all__ = [
     "ClassP",
@@ -56,22 +51,13 @@ __all__ = [
 ]
 
 
-def frac_str(x: RatLike) -> str:
+def frac_str(x: int) -> str:
     """Reduced "num/den" with a positive denominator; an int is k/1."""
     return f"{x.numerator}/{x.denominator}"
 
 
-def _coeff(x: object) -> RatLike:
-    """An int as it is; any other rational input as an exact Fraction."""
-    if type(x) is int:
-        return x
-    from fractions import Fraction
-
-    return Fraction(x)
-
-
-class _Class(_Checked):
-    """==, +, - and scaling for ClassP and ClassX, which name and coerce the fields.
+class _Class(tuple):
+    """==, +, - and scaling for ClassP and ClassX, which name the fields.
 
     A class on P never equals a class on X, though both hash as their
     coefficient tuple, and their sum or difference raises TypeError.
@@ -103,7 +89,7 @@ class _Class(_Checked):
     def __neg__(self):
         return type(self)(-self[0], -self[1])
 
-    def __rmul__(self, k: RatLike):
+    def __rmul__(self, k: int):
         return type(self)(k * self[0], k * self[1])
 
     __mul__ = __rmul__
@@ -113,8 +99,8 @@ class _Class(_Checked):
 
 
 class _ClassPFields(NamedTuple):
-    cE: RatLike
-    cf: RatLike
+    cE: int
+    cf: int
 
 
 class ClassP(_Class, _ClassPFields):
@@ -122,22 +108,16 @@ class ClassP(_Class, _ClassPFields):
 
     __slots__ = ()
 
-    def __new__(cls, cE: RatLike, cf: RatLike):
-        return tuple.__new__(cls, (_coeff(cE), _coeff(cf)))
-
 
 class _ClassXFields(NamedTuple):
-    cEt: RatLike
-    d: RatLike
+    cEt: int
+    d: int
 
 
 class ClassX(_Class, _ClassXFields):
     """a*Etilde + (pullback of a degree-d class from the base curve)."""
 
     __slots__ = ()
-
-    def __new__(cls, cEt: RatLike, d: RatLike):
-        return tuple.__new__(cls, (_coeff(cEt), _coeff(d)))
 
 
 E_P = ClassP(1, 0)
@@ -146,12 +126,12 @@ ETILDE = ClassX(1, 0)
 FIBER_X = ClassX(0, 1)
 
 
-def intersect_P(params: SurfaceParams, a: ClassP, b: ClassP) -> RatLike:
+def intersect_P(params: SurfaceParams, a: ClassP, b: ClassP) -> int:
     """Bilinear symmetric pairing with E.E = dD, E.f = 1, f.f = 0."""
     return a.cE * b.cE * params.dD + a.cE * b.cf + a.cf * b.cE
 
 
-def intersect_X(params: SurfaceParams, a: ClassX, b: ClassX) -> RatLike:
+def intersect_X(params: SurfaceParams, a: ClassX, b: ClassX) -> int:
     """Pairing on the cover: Etilde^2 = dD/ell = dNl, section meets fiber degree."""
     return a.cEt * b.cEt * params.dNl + a.cEt * b.d + a.d * b.cEt
 

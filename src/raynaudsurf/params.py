@@ -21,7 +21,6 @@ __all__ = [
     "SurfaceParams",
     "InvalidParams",
     "is_prime",
-    "check",
     "validate",
     "enumerate_families",
     "is_smooth",
@@ -60,8 +59,8 @@ def is_prime(n: int) -> bool:
 
     A lookup up to 41, then Miller-Rabin to every base, which is proven
     correct below the bound.  An n at or above the bound raises ValueError:
-    the bound itself passes all 13 tests and is composite.  check() states
-    the bound as a cap on p instead.
+    the bound itself passes all 13 tests and is composite.  SurfaceParams
+    states the bound as a cap on p instead.
     """
     if n <= 41:
         return n in _MR_BASES
@@ -94,16 +93,11 @@ def _coerce_structure(structure: object) -> Structure | None:
     return None
 
 
-def check(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> list[str]:
-    """Return the complete list of violated constraints (empty when valid)."""
-    return _check_and_coerce(p, g, dD, e, ell, structure)[0]
-
-
 def _check_and_coerce(p, g, dD, e, ell, structure) -> tuple[list[str], Structure | None]:
-    """check's violations and the coerced structure, from one pass.
+    """Every violated constraint (empty when valid) and the coerced structure, from one pass.
 
     SurfaceParams.__new__ reads both, so a tuple is checked and its
-    structure coerced once.
+    structure coerced once; InvalidParams carries the violations.
     """
     bad: list[str] = []
     # Plain ints, the common case, pass in one chain; anything else (an int

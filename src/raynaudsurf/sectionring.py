@@ -35,37 +35,30 @@ def local_cohomology(params: SurfaceParams, j: int, n: int) -> Cert:
 
 
 class LocalCohReport(NamedTuple):
-    """Graded pieces of H^j_m(R) over a degree window.
-
-    Unhashable: hashing a tuple hashes its fields, and pieces is a dict.
-    No caller hashes a report.
-    """
+    """Graded pieces of H^j_m(R) over a degree window, as ((j, n), Cert) pairs in (j, n) order."""
 
     params: SurfaceParams
     nmin: int
     nmax: int
-    pieces: dict[tuple[int, int], Cert]
+    pieces: tuple[tuple[tuple[int, int], Cert], ...]
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "params": self.params.to_json(),
             "dimR": DIM_R,
             "nmin": self.nmin,
             "nmax": self.nmax,
-            "pieces": {},
+            "pieces": {f"{j},{n}": cert.to_json() for (j, n), cert in self.pieces},
         }
-        for (j, n) in sorted(self.pieces):
-            out["pieces"][f"{j},{n}"] = self.pieces[(j, n)].to_json()
-        return out
 
 
 def local_cohomology_report(params: SurfaceParams, nmin: int, nmax: int) -> LocalCohReport:
     if nmin > nmax:
         raise ValueError("nmin must not exceed nmax")
-    pieces = {
-        (j, n): local_cohomology(params, j, n)
+    pieces = tuple(
+        ((j, n), local_cohomology(params, j, n))
         for j in range(DIM_R + 1)
         for n in range(nmin, nmax + 1)
-    }
+    )
     return LocalCohReport(params, nmin, nmax, pieces)
 

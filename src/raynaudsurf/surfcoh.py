@@ -53,7 +53,6 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .curvecoh import ZERO_CERT, Cert, CohCert, TwistedSym, _rule_bounds, certify
-from .numclass import polarization_class
 from .params import SurfaceParams
 
 __all__ = [
@@ -67,9 +66,6 @@ __all__ = [
     "zab_nonvanishing",
     "theorem_predicates",
 ]
-
-# |n| cap on every CLI twist window: at most 2*NMAX + 1 = 201 twists.
-NMAX = 100
 
 
 def _check_degree(i: int) -> None:
@@ -322,7 +318,7 @@ def _proven(theorem: str, ns: range) -> ThmEntry:
     return ThmEntry(theorem, ns, "vanishing", ZERO_CERT, "confirmed")
 
 
-# The same for every tuple once polarization_class passes the check below.
+# The same for every tuple: theorem_predicates' docstring proves it from the guard.
 _POLARIZATION_ENTRY = ThmEntry("polarization_is_etilde_plus_root", None, "identity", None, "confirmed")
 
 
@@ -365,6 +361,12 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
         (k >= 1).  Below the window that covers every i <= ell-1 except
         i = 3 at (3, 4), where n <= -3 gives [(n+3)/4] <= 0, so k >= 1,
         and t' = n + 5 < 4 = ell: R2 again.  So h^1 = 0 below the window.
+      - polarization_is_etilde_plus_root: Z = O_X(Etilde) (x) phi^* Nl,
+        with psi^*E = ell*Etilde (z^ell cuts out E) and Nl^ell = O(D), so
+        ell*Z = psi^*(E + dD*f).  Z's Etilde coefficient is 1, and
+        ell*deg Nl = dD is an integer identity because SurfaceParams
+        refuses a tuple with ell not dividing dD.  So Z is numerically
+        Etilde plus the pullback of deg D / ell on every tuple.
     h1_nonzero_near_zero always asks the engine, for every tuple: taking
     those entries from the witness of h1_nonvanishing_window would make the
     check circular.  The proven claims and the window bound are built once
@@ -383,12 +385,4 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     window, h2_high, later = _proven_claims(params.p, params.ell, nneg_min)
     # h^1 is nonzero on the window just below 0, from the window bound up to -1.
     near_zero = [_nonvanishing("h1_nonzero_near_zero", n, h_surface(params, 1, n)) for n in range(window, 0)]
-
-    # The polarization is numerically Etilde plus the pullback of deg D / ell,
-    # checked as the cover relation ell*Z = psi^*(E + dD*f) with psi^*E =
-    # ell*Etilde: Z's Etilde coefficient is 1 and ell*d = dD, on integers.
-    z = polarization_class(params)
-    if z.cEt != 1 or params.ell * z.d != params.dD:
-        raise TheoremContradicted(f"polarization class {z} breaks ell*Z = psi^*(E + dD*f)")
-
     return ThmReport(params, (h2_high, *near_zero, *later))

@@ -79,12 +79,10 @@ def test_pullback_examples():
     assert intersect_X(PS1, lifted, lifted) == PS1.ell * PS1.dD
 
 
-def test_polarization_pulls_back_from_P(sweep_acceptance):
-    # The runtime entry polarization_is_etilde_plus_root compares
-    # polarization_class with its own expression.  The independent route:
-    # psi^*E = ell*Etilde (z^ell cuts out E) and Nl^ell = O(D), so
-    # ell*Z_{a,b} = psi^*(a*E + b*dD*f).
-    for f in sweep_acceptance:
+def test_polarization_pulls_back_from_P():
+    # The independent route: psi^*E = ell*Etilde (z^ell cuts out E) and
+    # Nl^ell = O(D), so ell*Z_{a,b} = psi^*(a*E + b*dD*f).
+    for f in enumerate_families(13, 40, 40):
         for a, b in ((1, 1), (2, 1), (1, f.ell - 1)):
             assert f.ell * polarization_class(f, a, b) == pullback_psi(f, a * E_P + b * f.dD * FIBER_P), (f, a, b)
 
@@ -270,13 +268,11 @@ def test_fraction_formatting():
 
 
 def test_class_coefficients_are_fractions():
-    # Exact either way: an int coefficient stays an int, and a rational one
-    # (a Fraction, or a string) becomes a reduced Fraction.
+    # Exact either way: a class holds its coefficients as given, so an int
+    # stays an int and a Fraction a Fraction.
     p, x = ClassP(1, -2), ClassX(Fraction(6, 4), 0)
     assert [type(c) for c in (p.cE, p.cf, x.cEt, x.d)] == [int, int, Fraction, int]
     assert (p.cE, p.cf, x.cEt, x.d) == (1, -2, Fraction(3, 2), 0)
-    q = ClassP("1/2", Fraction(4, 2))
-    assert [type(c) for c in q] == [Fraction, Fraction] and q == ClassP(Fraction(1, 2), 2)
     # Arithmetic keeps ints int and turns exact on a rational operand.
     assert [type(c) for c in p + 3 * p - ClassP(0, 1)] == [int, int]
     half = Fraction(1, 2) * p
@@ -315,6 +311,5 @@ def test_a_class_on_P_never_equals_one_on_X():
     assert not (p == x or x == p)
     assert {p: 1}.get(x) is None
     assert {x: 1}.get(ClassX(1, 0)) == 1
-    assert {ClassX(1, 0), ClassX("1", 0)} == {x}
     assert x == ClassX(Fraction(1), 0) and not (x != ClassX(Fraction(1), 0))
     assert hash(p) == hash(x) == hash((1, 0))

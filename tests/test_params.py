@@ -11,7 +11,6 @@ from raynaudsurf import (
     InvalidParams,
     Structure,
     SurfaceParams,
-    check,
     enumerate_families,
     is_normal,
     is_prime,
@@ -20,6 +19,15 @@ from raynaudsurf import (
 )
 
 from conftest import PS1, PS3, PS4, time_limit
+
+
+def _violations(*fields) -> list[str]:
+    """InvalidParams.violations of SurfaceParams(*fields), or [] when it constructs."""
+    try:
+        SurfaceParams(*fields)
+    except InvalidParams as err:
+        return err.violations
+    return []
 
 
 def test_validate_ps1():
@@ -40,7 +48,7 @@ def test_validate_rejects_bad_ell_divisibility():
     assert any("ell | dD" in v for v in viols)
     # A field that is not an int stops the numeric checks, not the
     # structure check.
-    assert check(2.0, 4, 3, 3, 3, "bogus") == [
+    assert _violations(2.0, 4, 3, 3, 3, "bogus") == [
         "ConstraintViolated(p is an integer): got 2.0",
         "ConstraintViolated(structure): 'bogus' is not 'tango' or 'pretango'",
     ]
@@ -73,7 +81,7 @@ def test_structure_coercion_and_json_round_trip():
 
 
 def _brute_force_families(max_p: int, max_g: int, max_dD: int) -> list[SurfaceParams]:
-    # Independent oracle: exhaustive filter of the whole box through check().
+    # Independent oracle: exhaustive filter of the whole box through the constructor.
     found = []
     for p in range(1, max_p + 1):
         for g in range(1, max_g + 1):
@@ -81,7 +89,7 @@ def _brute_force_families(max_p: int, max_g: int, max_dD: int) -> list[SurfacePa
                 for e in range(1, max_dD + 1):
                     for ell in range(1, max_dD + 1):
                         for st_ in (Structure.TANGO, Structure.PRETANGO):
-                            if not check(p, g, dD, e, ell, st_):
+                            if not _violations(p, g, dD, e, ell, st_):
                                 found.append(SurfaceParams(p, g, dD, e, ell, st_))
     found.sort(key=SurfaceParams.sort_key)
     return found
@@ -110,7 +118,7 @@ def test_enumerate_families_examples():
 
 def test_enumerated_tuples_revalidate(sweep_small):
     for f in sweep_small:
-        assert check(f.p, f.g, f.dD, f.e, f.ell, f.structure) == []
+        assert _violations(f.p, f.g, f.dD, f.e, f.ell, f.structure) == []
 
 
 def test_enumeration_is_sorted_and_duplicate_free(sweep_small):
@@ -170,7 +178,7 @@ _FIELD = st.one_of(
 @settings(max_examples=500, deadline=None)
 def test_check_decides_construction(p, g, dD, e, ell, structure):
     fields = (("p", p), ("g", g), ("dD", dD), ("e", e), ("ell", ell))
-    bad = check(p, g, dD, e, ell, structure)
+    bad = _violations(p, g, dD, e, ell, structure)
     # The non-integer fields lead the list, in field order, with one message each.
     untyped = [f"ConstraintViolated({name} is an integer): got {v!r}"
                for name, v in fields if not isinstance(v, int) or isinstance(v, bool)]
@@ -245,12 +253,12 @@ def test_is_prime_rejects_strong_pseudoprimes():
             with time_limit():
                 assert not is_prime(n), n
     # psi_13 fools all 13 bases, so the proven range stops below it: is_prime
-    # refuses it, and check() caps p there instead of claiming a primality.
+    # refuses it, and SurfaceParams caps p there instead of claiming a primality.
     psi13 = math.prod(STRONG_PSEUDOPRIMES[13])
     with pytest.raises(ValueError):
         is_prime(psi13)
-    assert any(v.startswith(f"ConstraintViolated(p < {psi13})") for v in check(psi13, 2, 2, 2, 2, "pretango"))
-    assert any(v.startswith(f"ConstraintViolated(p < {psi13})") for v in check(2**89 - 1, 2, 2, 2, 2, "pretango"))
+    assert any(v.startswith(f"ConstraintViolated(p < {psi13})") for v in _violations(psi13, 2, 2, 2, 2, "pretango"))
+    assert any(v.startswith(f"ConstraintViolated(p < {psi13})") for v in _violations(2**89 - 1, 2, 2, 2, 2, "pretango"))
 
 
 def test_is_prime_on_large_numbers():

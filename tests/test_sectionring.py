@@ -51,7 +51,9 @@ def test_nonzero_negative_degrees_match_window(sweep_small):
 
 def test_report_structure_and_json():
     report = local_cohomology_report(PS1, -3, 2)
-    assert set(report.pieces) == {(j, n) for j in range(4) for n in range(-3, 3)}
+    # ((j, n), Cert) pairs in (j, n) order, each piece local_cohomology's.
+    assert [key for key, _ in report.pieces] == [(j, n) for j in range(4) for n in range(-3, 3)]
+    assert all(cert == local_cohomology(PS1, j, n) for (j, n), cert in report.pieces)
     blob = report.to_json()
     assert blob["dimR"] == 3
     assert blob["pieces"]["2,-1"] == {"kind": "exact", "lo": 1, "hi": 1}
