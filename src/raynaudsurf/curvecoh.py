@@ -90,10 +90,6 @@ class Cert(_Checked, _CertFields):
     def certainly_nonzero(self) -> bool:
         return self.lo >= 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.hi == 0
-
     def __add__(self, other: "Cert") -> "Cert":
         return Cert(self.lo + other.lo, self.hi + other.hi)
 
@@ -197,7 +193,9 @@ def _rule_bounds(params: SurfaceParams, dualized: bool, m: int, t: int) -> tuple
       filtration quotients negative; R5 quotient-sum upper bound; R6 chi
       floor.  The combiner takes the max of lower and the min of upper
       bounds; when every quotient degree exceeds 2g-2 the sheaf is
-      nonspecial, h^1 is exactly 0 and h^0 is upgraded to Exact(chi).
+      nonspecial and hi drops to chi.  lo is already at least chi there
+      (R1 gives Exact(chi) above 2g-2, R6 gives lo >= chi for m >= 1), so
+      h^0 is Exact(chi) and the h^1 transport gives Exact(0).
 
     The quotient degrees d_j = t*dNl + j*step (step = +-ell*dNl) are never
     listed: R4 is max(d_0, d_m) < 0, the nonspecial test is
@@ -214,19 +212,19 @@ def _rule_bounds(params: SurfaceParams, dualized: bool, m: int, t: int) -> tuple
         which returns an int on every branch;
       - for m >= 1, R5 sets hi to an int series sum, and R2, R4 and the
         nonspecial test only ever lower it (to 0, or to min(hi, chi));
-      - h^1 is (0, 0) when nonspecial, or the transport of h^0, whose hi
-        is h0.hi - chi.
+      - h^1 is the transport of h^0, whose hi is h0.hi - chi (0 when
+        nonspecial).
 
     No Cert is returned, yet every bound returned is one a Cert accepts,
     so callers may sum them as ints and validate once:
       - lo >= 0 by construction: R0 gives 0; line_bundle_h0_bounds never
         returns a negative lo (it is 0, 1, max(chi, 0) or, above 2g-2,
         chi = deg + 1 - g > g - 1 >= 0), and it seeds R1; R6 starts from
-        max(chi, 0); R3 and the nonspecial upgrade only raise lo; and the
-        h^1 transport clamps its lo at 0;
-      - lo <= hi is checked for both degrees, as before: h^0 and the h^1
-        transport each raise RuleConflict on an empty interval (the
-        nonspecial (0, 0) needs no check).
+        max(chi, 0); R3 only raises lo; and the h^1 transport clamps its
+        lo at 0;
+      - lo <= hi is checked for both degrees: h^0 and the h^1 transport
+        each raise RuleConflict on an empty interval.  A nonspecial sheaf
+        whose h^0 passes has lo = hi = chi, so its transport never does.
     A sum of such intervals is one too, so the single Cert that
     surfcoh.h_surface builds from its sums checks no less than one Cert
     per side did; certify builds the two per-sheaf Certs from these ends.
@@ -256,16 +254,10 @@ def _rule_bounds(params: SurfaceParams, dualized: bool, m: int, t: int) -> tuple
             unit = line_bundle_h0_bounds(params, t - m * ell)[0]
             if unit > lo:
                 lo = unit
-    nonspecial = d0 > 2 * g - 2 and dm > 2 * g - 2
-    if nonspecial:
-        if c > lo:
-            lo = c
-        if c < hi:
-            hi = c
+    if d0 > 2 * g - 2 and dm > 2 * g - 2 and c < hi:  # nonspecial
+        hi = c
     if lo > hi:
         raise RuleConflict(f"h0 rules conflict on {TwistedSym(dualized, m, t)}: lo={lo} > hi={hi}")
-    if nonspecial:
-        return c, lo, hi, 0, 0
     # h^1 = h^0 - chi on the nose, clamped at 0 from below.
     lo1 = lo - c if lo > c else 0
     hi1 = hi - c

@@ -182,28 +182,22 @@ def h_surface(params: SurfaceParams, i: int, n: int, a: int = 1, b: int = 1) -> 
     return Cert(lo, hi)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def h1_nonvanishing_window(params: SurfaceParams) -> int:
-    """-min([ell/2], ell - ceil(2*ell/(p+1))): H^1(X, Z^n) != 0 for this bound <= n <= -1.
+    """-[ell/2]: H^1(X, Z^n) != 0 for -[ell/2] <= n <= -1.
 
     The witness is the unit section of summand i = n + ell.  For
     -ell <= n <= -1 summand i lies in row [(n+i)/ell] = 0 exactly when
     i >= -n, so i = n + ell is in row 0 iff n >= -ell/2.  Its R^1 pi_* side
-    is S^k(E)^v (x) Nl^(i*p + n - ell) with k = i(p+1)/ell - 2, and when
-    k >= 0, i.e. i >= 2*ell/(p+1), the dual of S^k(E) ->> O(kD) embeds
-    O(-kD) = Nl^(-k*ell) in it.  The twisted line bundle is then
-    Nl^(i*p + n - ell - i(p+1) + 2*ell) = Nl^(n + ell - i) = O_C, whose
-    constant section is a nonzero class in H^0(C, R^1 pi_*) within H^1(X, Z^n).
-    For p <= 3 and for ell = 2 the two terms of the min are equal.
+    is S^k(E)^v (x) Nl^(i*p + n - ell) with k = i*q - 2, q = (p+1)/ell, and
+    the dual of S^k(E) ->> O(kD) embeds O(-kD) = Nl^(-k*ell) in it.  The
+    twisted line bundle is then Nl^(i*p + n - ell - i(p+1) + 2*ell) =
+    Nl^(n + ell - i) = O_C, whose constant section is a nonzero class in
+    H^0(C, R^1 pi_*) within H^1(X, Z^n).  That needs k >= 0, i.e.
+    i*q >= 2, and row 0 gives i >= ceil(ell/2): when q >= 2 any i >= 1
+    will do; when q = 1, ell = p+1 >= 3, so i >= ceil(ell/2) >= 2.  So
+    k >= 0 on all of row 0, and the window is -[ell/2] <= n <= -1.
     """
-    return _window(params.p, params.ell)
-
-
-def _window(p: int, ell: int) -> int:
-    return -min(ell // 2, ell - _ceil_div(2 * ell, p + 1))
+    return -(params.ell // 2)
 
 
 def zab_nonvanishing(params: SurfaceParams, a: int, b: int) -> Cert:
@@ -292,11 +286,6 @@ class ThmReport(NamedTuple):
     def stronger(self) -> tuple[ThmEntry, ...]:
         return self.tally()[1]
 
-    @property
-    def confirmed(self) -> int:
-        checks, stronger = self.tally()
-        return checks - len(stronger)
-
     def to_json(self) -> dict:
         checks, stronger = self.tally()
         return {
@@ -326,7 +315,7 @@ _POLARIZATION_ENTRY = ThmEntry("polarization_is_etilde_plus_root", None, "identi
 @lru_cache(maxsize=1)
 def _proven_claims(p: int, ell: int, nneg_min: int) -> tuple[int, ThmEntry, tuple[ThmEntry, ...]]:
     """(window, the claim before the engine's, the claims after) of theorem_predicates."""
-    window = _window(p, ell)
+    window = -(ell // 2)  # h1_nonvanishing_window
     # h^2 vanishes from p(p+1) on; listed on a finite window.
     h2_high = _proven("h2_vanishes_high", range(p * (p + 1), p * (p + 1) + 3 * ell + 1))
     # For p = 2, 3 the window is sharp: h^1 vanishes below it.
@@ -375,7 +364,7 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     the memo loses no hit (14 misses, 2069 hits over the 2083 tuples of
     enumerate_families(13, 40, 40)); it holds no direct-image row, so
     memory grows neither with ell nor with the sweep.  Time does grow: a
-    tuple costs O(ell^2), about ell/2 window twists of ell summands each,
+    tuple costs O(ell^2), [ell/2] window twists of ell summands each,
     0.83 s on the ell = 1020 Tango tuple.  ROADMAP item 3 (surface
     certificates in time independent of ell) is the fix.
 

@@ -246,6 +246,37 @@ def test_default_cap_is_100(capsys):
     assert "capped at 100" in err
 
 
+INPUT_ERROR_CASES = {
+    "table --i x": (["table", *PS1_FLAGS, "--i", "x", "--nmin", "0", "--nmax", "1"], "--i expects a comma list"),
+    "table --a 0": (["table", *PS1_FLAGS, "--nmin", "0", "--nmax", "1", "--a", "0"], "--a and --b must be >= 1"),
+    "table --b 0": (["table", *PS1_FLAGS, "--nmin", "0", "--nmax", "1", "--b", "0"], "--a and --b must be >= 1"),
+    "table nmin > nmax": (["table", *PS1_FLAGS, "--nmin", "2", "--nmax", "1"], "--nmin 2 exceeds --nmax 1"),
+    "section-ring nmin > nmax": (["section-ring", *PS1_FLAGS, "--nmin", "2", "--nmax", "1"], "--nmin 2 exceeds --nmax 1"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERROR_CASES)
+def test_input_errors_exit_2_with_empty_stdout(capsys, case):
+    argv, message = INPUT_ERROR_CASES[case]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    # One line on stderr, naming the first check the input fails.
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_table_prints_one_error_line_per_violation(capsys):
+    from raynaudsurf import InvalidParams, SurfaceParams
+
+    with pytest.raises(InvalidParams) as bad:
+        SurfaceParams(4, 4, 2, 2, 3, "pretango")
+    violations = bad.value.violations
+    assert violations[0] == "NotPrime(4)" and len(violations) >= 2
+    flags = ["-p", "4", "-g", "4", "--dD", "2", "-e", "2", "--ell", "3", "--pretango"]
+    code, out, err = run_cli(capsys, ["table", *flags, "--nmin", "0", "--nmax", "1"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {v}" for v in violations]
+
+
 def test_families_stream(capsys):
     code, out, err = run_cli(capsys, ["families", "--pmax", "2", "--gmax", "4", "--ddmax", "3"])
     assert code == 0
@@ -746,6 +777,9 @@ def golden_commands() -> dict[str, list[str]]:
     cmds["validate invalid"] = ["validate", "-p", "4", "-g", "4", "--dD", "2", "-e", "2", "--ell", "3", "--pretango"]
     cmds["families json"] = ["families", "--pmax", "7", "--gmax", "20", "--ddmax", "20"]
     cmds["families csv"] = [*cmds["families json"], "--format", "csv"]
+    cmds["validate PS4 pretty"] = [*cmds["validate PS4"], "--format", "pretty"]
+    cmds["validate invalid pretty"] = [*cmds["validate invalid"], "--format", "pretty"]
+    cmds["families pretty"] = [*cmds["families json"], "--format", "pretty"]
     sweep2083 = ["theorems", "--pmax", "13", "--gmax", "40", "--ddmax", "40"]
     cmds["theorems 2083"] = sweep2083
     cmds["theorems 2083 pretty"] = [*sweep2083, "--format", "pretty"]
@@ -795,6 +829,9 @@ GOLDEN_MD5 = {
     "validate invalid": "4e2ecb2d8ec2b9c845743088320211a5",
     "families json": "4a994e0a9e358df7957384634fe8739d",
     "families csv": "b1a220d2db39f591de2288e976bf699b",
+    "validate PS4 pretty": "85dd61bcaf1ba574a4fd9d8803257614",
+    "validate invalid pretty": "815556ed70e8f4e4de0f91044515bc57",
+    "families pretty": "23a0c34f3944889d1841facee107030c",
     "theorems 2083": "903bca58c0f67eee979b25dc066b697a",
     "theorems 2083 pretty": "92f8edcec0a6de21d137b2a7f901faea",
     "theorems 2083 nmin -100": "f6976a0a01df851fc9f6557284b7c32b",

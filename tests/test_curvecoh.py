@@ -48,7 +48,7 @@ def sheaves():
 
 
 def test_cert_shapes():
-    assert Cert.exact(0).kind == "exact" and Cert.exact(0).is_zero
+    assert Cert.exact(0).kind == "exact" and Cert.exact(0).hi == 0
     assert Cert(2, 5).kind == "range" and Cert(2, 5).certainly_nonzero
     assert Cert(1, 4).kind == "range"
     assert Cert(3, 3) == Cert.exact(3)

@@ -26,6 +26,7 @@ from raynaudsurf import (
     h1_nonvanishing_window,
     h_surface,
     intersect_X,
+    is_prime,
     is_smooth,
     polarization_class,
     rank,
@@ -617,6 +618,23 @@ def test_result1_range_examples():
     assert h1_nonvanishing_window(PS3) == -2
 
 
+def test_window_is_half_ell_on_every_valid_pair():
+    # The witness summand i = n + ell is in row 0 exactly for n >= -[ell/2],
+    # and its R^1 pi_* side needs k = i(p+1)/ell - 2 >= 0.  Where ell | p+1
+    # the second condition never binds: k >= 0 already at the window's low
+    # end, i = ceil(ell/2), for every prime p < 10^4 and every ell | p+1.
+    pairs = 0
+    for p in filter(is_prime, range(2, 10**4)):
+        divisors = {d for r in range(1, math.isqrt(p + 1) + 1) if (p + 1) % r == 0 for d in (r, (p + 1) // r)}
+        for ell in sorted(divisors - {1}):
+            f = SurfaceParams(p, p * ell + 1, 2 * ell, ell, ell, Structure.TANGO)
+            window = h1_nonvanishing_window(f)
+            assert window == -(ell // 2), f
+            assert (window + ell) * f.mstep - 2 >= 0, f
+            pairs += 1
+    assert pairs == 17760  # over the 1229 primes
+
+
 def test_engine_certifies_nonvanishing_window(sweep_small):
     for f in sweep_small:
         for n in result1_range(f):
@@ -733,7 +751,7 @@ def _reference_entries(f, nneg_min):
             for n in range(p * (p + 1), p * (p + 1) + 3 * ell + 1)]
     for n in result1_range(f):
         cert = h_surface(f, 1, n)
-        assert not cert.is_zero, (f, n)
+        assert cert.hi != 0, (f, n)
         want.append(ThmEntry("h1_nonzero_near_zero", n, "nonvanishing", cert,
                              "confirmed" if cert.certainly_nonzero else "stronger"))
     if p in (2, 3):
@@ -771,11 +789,11 @@ def test_shared_claims_follow_every_key_part():
         report = theorem_predicates(f, nneg_min=nneg_min)
         entries = report.entries
         assert entries == _reference_entries(f, nneg_min), (f, nneg_min)
-        # The tally read by checks, stronger, confirmed and to_json agrees
-        # with the expanded listing.
+        # The tally read by checks, stronger and to_json agrees with the
+        # expanded listing.
         assert report.checks == len(entries)
         assert report.stronger == tuple(e for e in entries if e.verdict == "stronger")
-        assert report.confirmed == report.checks - len(report.stronger)
+        assert report.checks - len(report.stronger) == sum(e.verdict == "confirmed" for e in entries)
 
 
 def test_sweep_builds_each_group_claims_once(sweep_acceptance):
@@ -840,7 +858,7 @@ def test_report_counts_an_unresolved_check():
     report = ThmReport(PS1, (unresolved, proven))
     assert report.checks == 6
     assert report.stronger == (unresolved,)
-    assert report.confirmed == report.checks - len(report.stronger) == 5
+    assert report.checks - len(report.stronger) == 5
     assert [e.n for e in report.entries] == [-1, -5, -4, -3, -2, -1]
     blob = report.to_json()
     assert (blob["checks"], blob["confirmed"]) == (6, 5)
