@@ -86,13 +86,6 @@ class Cert(_Checked, _CertFields):
     def is_exact(self) -> bool:
         return self.hi == self.lo
 
-    @property
-    def certainly_nonzero(self) -> bool:
-        return self.lo >= 1
-
-    def __add__(self, other: "Cert") -> "Cert":
-        return Cert(self.lo + other.lo, self.hi + other.hi)
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
 
@@ -139,17 +132,16 @@ def chi(params: SurfaceParams, sheaf: TwistedSym) -> int:
 def line_bundle_h0_bounds(params: SurfaceParams, t: int) -> tuple[int, int]:
     """Certified (lo, hi) for h^0 of the line bundle Nl^t.
 
-    Negative degree is exact zero; t = 0 is O_C (deg 0 forces t = 0 since
-    dNl >= 1, so there is no nontrivial degree-0 case); above 2g-2 the bundle
-    is nonspecial and h^0 = chi.  In between only the chi floor and the
-    effectivity of positive powers of O(D) (D > 0, so t > 0 with ell | t has
-    a section) give lower bounds, and deg+1 is the generic upper bound.
+    Negative degree is exact zero; above 2g-2 the bundle is nonspecial and
+    h^0 = chi.  In between only the chi floor and the effectivity of the
+    powers of O(D) (D > 0, so t >= 0 with ell | t has a section) give lower
+    bounds, and deg+1 is the generic upper bound.  Degree 0 forces t = 0
+    (dNl >= 1), which is O_C, and needs no branch of its own: g >= 2 puts
+    deg 0 in 0..2g-2, and ell | 0 gives lo = 1 = deg + 1 = hi.
     """
     deg = t * params.dNl
     if deg < 0:
         return 0, 0
-    if t == 0:
-        return 1, 1
     c = deg + 1 - params.g
     if deg > 2 * params.g - 2:
         return c, c
@@ -189,20 +181,22 @@ def _rule_bounds(params: SurfaceParams, dualized: bool, m: int, t: int) -> tuple
 
     The rules of certify, in fixed priority order:
       R0 zero sheaf; R1 line-bundle exactness (m = 0); R2 sharp vanishing of
-      dualized powers with t < ell; R3 unit-section lower bounds; R4 all
-      filtration quotients negative; R5 quotient-sum upper bound; R6 chi
-      floor.  The combiner takes the max of lower and the min of upper
-      bounds; when every quotient degree exceeds 2g-2 the sheaf is
-      nonspecial and hi drops to chi.  lo is already at least chi there
-      (R1 gives Exact(chi) above 2g-2, R6 gives lo >= chi for m >= 1), so
-      h^0 is Exact(chi) and the h^1 transport gives Exact(0).
+      dualized powers with t < ell; R3 unit-section lower bounds; R5
+      quotient-sum upper bound; R6 chi floor.  The combiner takes the max
+      of lower and the min of upper bounds; when every quotient degree
+      exceeds 2g-2 the sheaf is nonspecial and hi drops to chi.  lo is
+      already at least chi there (R1 gives Exact(chi) above 2g-2, R6 gives
+      lo >= chi for m >= 1), so h^0 is Exact(chi) and the h^1 transport
+      gives Exact(0).  There is no R4 (hi = 0 when every quotient degree
+      is negative): R5 implies it, since the d_j lie between d_0 and d_m,
+      so d_0 < 0 and d_m < 0 make every max(0, d_j + 1) zero.
 
     The quotient degrees d_j = t*dNl + j*step (step = +-ell*dNl) are never
-    listed: R4 is max(d_0, d_m) < 0, the nonspecial test is
-    min(d_0, d_m) > 2g-2 and R5 is one arithmetic series, so the work is
-    O(1) in m.  chi is read from the same ends: deg is the sum of the
-    quotient degrees, (m+1)(d_0 + d_m)/2, an integer because m(m+1) is
-    even, so chi = (m+1)(d_0 + d_m)/2 + (m+1)(1-g).  That is Riemann-Roch,
+    listed: the nonspecial test is min(d_0, d_m) > 2g-2 and R5 is one
+    arithmetic series, so the work is O(1) in m.  chi is read from the same
+    ends: deg is the sum of the quotient degrees, (m+1)(d_0 + d_m)/2, an
+    integer because m(m+1) is even, so
+    chi = (m+1)(d_0 + d_m)/2 + (m+1)(1-g).  That is Riemann-Roch,
     chi(params, sheaf), because ell | dD makes ell*dNl = dD: the series
     is (m+1)*t*dNl +- (m(m+1)/2)*dD, which is degree(params, sheaf).
 
@@ -210,7 +204,7 @@ def _rule_bounds(params: SurfaceParams, dualized: bool, m: int, t: int) -> tuple
     needs, so the surface sums may add the hi ends as ints:
       - R0 gives (0, 0), and R1 takes hi from line_bundle_h0_bounds,
         which returns an int on every branch;
-      - for m >= 1, R5 sets hi to an int series sum, and R2, R4 and the
+      - for m >= 1, R5 sets hi to an int series sum, and R2 and the
         nonspecial test only ever lower it (to 0, or to min(hi, chi));
       - h^1 is the transport of h^0, whose hi is h0.hi - chi (0 when
         nonspecial).
@@ -243,8 +237,6 @@ def _rule_bounds(params: SurfaceParams, dualized: bool, m: int, t: int) -> tuple
         lo = c if c > 0 else 0  # R6
         hi = _clipped_series_sum(d0, step, m)  # R5, so hi >= 0
         if dualized and t < ell:  # R2
-            hi = 0
-        if d0 < 0 and dm < 0:  # R4
             hi = 0
         if not dualized and t >= 0:  # R3: O_C -> S^m(E)
             unit = line_bundle_h0_bounds(params, t)[0]

@@ -225,10 +225,12 @@ def kodaira_vanishing_KX(params: SurfaceParams) -> bool:
 
 
 def fiber_genus(params: SurfaceParams) -> int:
-    """Geometric genus (ell-1)(p-1)/2 of every fiber of X over the base curve."""
-    num = (params.ell - 1) * (params.p - 1)
-    assert num % 2 == 0
-    return num // 2
+    """Geometric genus (ell-1)(p-1)/2 of every fiber of X over the base curve.
+
+    The product is even on every tuple: p - 1 is even for odd p, and p = 2
+    has ell | 3 with ell >= 2, so ell = 3 and ell - 1 = 2.
+    """
+    return (params.ell - 1) * (params.p - 1) // 2
 
 
 def cusp_exponents(params: SurfaceParams) -> tuple[int, int]:

@@ -204,9 +204,6 @@ class SurfaceParams(_Checked, _SurfaceParamsFields):
         """
         return (self.p + 1) // self.ell
 
-    def sort_key(self) -> tuple:
-        return (self.p, self.ell, self.e, self.g, self.dD, self.structure.value)
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -226,10 +223,11 @@ def validate(p: int, g: int, dD: int, e: int, ell: int, structure: object) -> Su
 def enumerate_families(max_p: int, max_g: int, max_dD: int) -> Iterator[SurfaceParams]:
     """Yield every valid tuple with p <= max_p, g <= max_g, dD <= max_dD.
 
-    The loops nest in sort_key order, (p, ell, e, g, dD, structure), so the
-    tuples come out sorted; both the Tango and the pre-Tango variant are
-    yielded whenever their bounds hold.  The bounds are checked when the
-    first tuple is requested.
+    The loops nest as p, ell, e, g, dD, each ascending, and a pre-Tango
+    tuple comes just before its Tango twin, so the tuples come out sorted
+    by (p, ell, e, g, dD, structure value), "pretango" < "tango"; both
+    variants are yielded whenever their bounds hold.  The bounds are
+    checked when the first tuple is requested.
     """
     if max_p < 1 or max_g < 1 or max_dD < 1:
         raise ValueError("bounds must be positive")

@@ -278,14 +278,6 @@ class ThmReport(NamedTuple):
                 stronger += _per_n(claim)
         return checks, tuple(stronger)
 
-    @property
-    def checks(self) -> int:
-        return self.tally()[0]
-
-    @property
-    def stronger(self) -> tuple[ThmEntry, ...]:
-        return self.tally()[1]
-
     def to_json(self) -> dict:
         checks, stronger = self.tally()
         return {
@@ -331,7 +323,7 @@ def theorem_predicates(params: SurfaceParams, nneg_min: int = -40) -> ThmReport:
     from one engine call per n (the tests compare each proof with
     h_surface, the oracle).  Each is stored once, as a ThmEntry whose n is
     the range it covers, so the report's size does not grow with
-    -nneg_min; report.checks counts its n, and report.entries expands it
+    -nneg_min; report.tally() counts its n, and report.entries expands it
     into one entry per n:
       - h0_zero_negative: summand i of Z^n has mtw = [(n+i)/ell] -
         i(p+1)/ell.  For n < 0 and 0 <= i <= ell-1 the floor is at most 0,

@@ -40,7 +40,16 @@ from raynaudsurf import (
 )
 from raynaudsurf.params import Structure
 
-from conftest import PS1, PS2, PS3, PS4, h1neg_closed_form, nonzero_negative_degrees, result1_range
+from conftest import (
+    PS1,
+    PS2,
+    PS3,
+    PS4,
+    certainly_nonzero,
+    h1neg_closed_form,
+    nonzero_negative_degrees,
+    result1_range,
+)
 
 ZERO = Cert.exact(0)
 
@@ -65,7 +74,7 @@ def test_criterion_01_raynaud_char2_profile():
 
 def test_criterion_02_raynaud_char3_profile():
     failures = []
-    if not h_surface(PS2, 1, -1).certainly_nonzero:
+    if not certainly_nonzero(h_surface(PS2, 1, -1)):
         failures.append(("n=-1", str(h_surface(PS2, 1, -1))))
     for n in range(-50, -1):
         if h_surface(PS2, 1, n) != ZERO:
@@ -76,7 +85,7 @@ def test_criterion_02_raynaud_char3_profile():
 def test_criterion_03_ell4_profile():
     failures = []
     for n in (-1, -2):
-        if not h_surface(PS3, 1, n).certainly_nonzero:
+        if not certainly_nonzero(h_surface(PS3, 1, n)):
             failures.append((n, str(h_surface(PS3, 1, n))))
     for n in range(-40, -2):
         if h_surface(PS3, 1, n) != ZERO:
@@ -132,12 +141,12 @@ def test_criterion_08_h0_refined_and_predicates(sweep_acceptance):
         failures.append(("PS4 h0(Z^1)", str(h_surface(PS4, 0, 1)), str(want)))
     for f in sweep_acceptance:
         try:
-            report = theorem_predicates(f)
+            stronger = theorem_predicates(f).tally()[1]
         except Exception as err:  # TheoremContradicted is a hard failure
             failures.append((f.to_json(), repr(err)))
             continue
-        if report.stronger:
-            failures.append((f.to_json(), [e.to_json() for e in report.stronger]))
+        if stronger:
+            failures.append((f.to_json(), [e.to_json() for e in stronger]))
     _criterion("08", "h0(Z^1) = h0(C, Nl) on the pre-Tango p=5 tuple; predicate set clean on the sweep", failures)
 
 

@@ -5,7 +5,7 @@ import contextlib
 import csv
 import gc
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import os
@@ -845,6 +845,33 @@ def test_golden_stdout_md5(capsys):
     assert got == GOLDEN_MD5
 
 
+# md5 of the benchmark's stdout, every invocation of one seed-1 run
+# concatenated in order, as perfbench/run.py hashes it.
+BENCH_MD5 = {
+    "sweep": "a6df26ee92acaadf4a7c13be6ab7f437",
+    "large_p": "fd179f8e8ba564af8a52eab6fe62d8d1",
+    "tables": "728da9ee824ca6b1be11569ce6bbe44a",
+}
+
+
+def test_bench_workload_stdout_md5(capsys):
+    # The invocations come from perfbench/workloads.py itself, so the
+    # benchmark's inputs and these pins cannot drift apart.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    got = {}
+    for name in workloads.WORKLOADS:
+        md5 = hashlib.md5()
+        for argv in workloads.invocations(name, 1):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0, (name, argv)
+            md5.update(out.encode())
+        got[name] = md5.hexdigest()
+    assert got == BENCH_MD5
+
+
 # ------------------------------------------------------------ output blocks
 
 
@@ -1062,6 +1089,28 @@ def test_every_unexported_module_name_is_read():
     assert unread == []
 
 
+def test_every_class_member_is_read():
+    # A method or property that nothing reads as an attribute, in the
+    # package, its tests or the benchmark, is dead code.
+    repo = Path(__file__).resolve().parent.parent
+    read = set()
+    for tree_dir in ("src", "tests", "perfbench"):
+        for path in sorted((repo / tree_dir).rglob("*.py")):
+            read.update(node.attr for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute))
+    unread = []
+    for path in sorted((repo / "src" / "raynaudsurf").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                unread += [
+                    f"{path.stem}.{cls.name}.{node.name}"
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("__")
+                    and node.name not in read
+                ]
+    assert unread == []
+
+
 def test_input_is_checked_only_at_the_guard():
     # SurfaceParams is the one place input is checked or coerced: every
     # class holds ints, so no module needs fractions, and the engine
@@ -1089,8 +1138,9 @@ def readme_library_session() -> list[str]:
 
 
 def test_readme_library_session_shows_true_values():
-    # Each expression line's comment opens with the value it shows: that
-    # must be str() of what the line evaluates to.
+    # Each expression line's comment opens with the value it shows, ended
+    # by ":", "," or the line: that must be str() of what the line
+    # evaluates to.
     namespace: dict = {}
     shown = []
     for line in readme_library_session():
@@ -1100,10 +1150,10 @@ def test_readme_library_session_shows_true_values():
         except SyntaxError:
             exec(code, namespace)
             continue
-        value = eval(expr, namespace)
-        shown.append(comment.split()[0].rstrip(":,"))
-        assert str(value) == shown[-1], line
-    assert shown == ["Exact(1)", "Exact(0)", "3", "()", "91"]
+        value, comment = str(eval(expr, namespace)), comment.strip()
+        assert comment.startswith(value) and comment[len(value):][:1] in ("", ":", ","), line
+        shown.append(value)
+    assert shown == ["Exact(1)", "Exact(0)", "3", "(91, ())"]
     # The comments' other figures: h0 - h1 + h2 = 0 - 1 + 4, and 5 claims.
     params, surface_cert, theorem_predicates = (namespace[k] for k in ("params", "surface_cert", "theorem_predicates"))
     assert [str(c) for c in surface_cert(params, -1)[:3]] == ["Exact(0)", "Exact(1)", "Exact(4)"]

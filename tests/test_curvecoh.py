@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from raynaudsurf import (
 from raynaudsurf.curvecoh import _clipped_series_sum
 from raynaudsurf.surfcoh import _terms
 
-from conftest import PS1, PS2, PS3, PS4, oracle_decompose
+from conftest import PS1, PS2, PS3, PS4, cert_add, certainly_nonzero, oracle_decompose
 
 O_C = TwistedSym(True, 0, 0)
 
@@ -49,7 +51,7 @@ def sheaves():
 
 def test_cert_shapes():
     assert Cert.exact(0).kind == "exact" and Cert.exact(0).hi == 0
-    assert Cert(2, 5).kind == "range" and Cert(2, 5).certainly_nonzero
+    assert Cert(2, 5).kind == "range" and certainly_nonzero(Cert(2, 5))
     assert Cert(1, 4).kind == "range"
     assert Cert(3, 3) == Cert.exact(3)
     with pytest.raises(ValueError):
@@ -63,14 +65,14 @@ def test_cert_shapes():
 
 
 def test_cert_addition():
-    assert Cert.exact(2) + Cert.exact(3) == Cert.exact(5)
-    assert Cert(0, 2) + Cert.exact(1) == Cert(1, 3)
-    assert Cert(1, 1) + Cert(0, 5) == Cert(1, 6)
-    assert sum([], ZERO_CERT) == Cert.exact(0)
-    # A direct sum is the Cert.__add__ chain from ZERO_CERT: both ends add.
+    assert cert_add(Cert.exact(2), Cert.exact(3)) == Cert.exact(5)
+    assert cert_add(Cert(0, 2), Cert.exact(1)) == Cert(1, 3)
+    assert cert_add(Cert(1, 1), Cert(0, 5)) == Cert(1, 6)
+    assert functools.reduce(cert_add, [], ZERO_CERT) == Cert.exact(0)
+    # A direct sum is the cert_add chain from ZERO_CERT: both ends add.
     parts = [Cert(0, 2), Cert(1, 4), Cert.exact(3)]
-    assert sum(parts, ZERO_CERT) == parts[0] + parts[1] + parts[2] == Cert(4, 9)
-    assert sum(iter([Cert(1, 2), Cert(0, 5)]), ZERO_CERT) == Cert(1, 7)
+    assert functools.reduce(cert_add, parts, ZERO_CERT) == cert_add(cert_add(parts[0], parts[1]), parts[2]) == Cert(4, 9)
+    assert functools.reduce(cert_add, iter([Cert(1, 2), Cert(0, 5)]), ZERO_CERT) == Cert(1, 7)
 
 
 def test_cert_json():
@@ -137,6 +139,11 @@ def test_h0_negative_line_bundle_and_nonspecial_range():
     # deg 7 > 2g-2 = 6: exact chi and h1 = 0.
     cc = certify(PS1, TwistedSym(False, 0, 7))
     assert cc.h0 == Cert.exact(7 + 1 - 4)
+    assert cc.h1 == Cert.exact(0)
+    # The least nonspecial degree on a dual side: quotient degrees 10 and
+    # d_m = 10 - 3 = 7 = 2g-1, so h^0 = chi = 17 + 2(1-4).
+    cc = certify(PS1, TwistedSym(True, 1, 10))
+    assert cc.h0 == Cert.exact(11)
     assert cc.h1 == Cert.exact(0)
 
 
@@ -243,6 +250,7 @@ def test_certificates_well_formed_random(s):
 def _enumerated_certify(params, s):
     # Reference: R4, R5 and the nonspecial test read off the listed quotient
     # degrees, one term per filtration step; the other rules as in certify.
+    # certify has no R4 (R5 implies it), so equality here also checks that.
     if s.is_zero:
         return CohCert(s, 0, Cert.exact(0), Cert.exact(0))
     c = chi(params, s)

@@ -80,6 +80,12 @@ def test_structure_coercion_and_json_round_trip():
     assert SurfaceParams(**params.to_json()) == params
 
 
+def _family_order(f: SurfaceParams) -> tuple:
+    # The order enumerate_families promises: (p, ell, e, g, dD), then
+    # "pretango" before "tango".
+    return (f.p, f.ell, f.e, f.g, f.dD, f.structure.value)
+
+
 def _brute_force_families(max_p: int, max_g: int, max_dD: int) -> list[SurfaceParams]:
     # Independent oracle: exhaustive filter of the whole box through the constructor.
     found = []
@@ -91,7 +97,7 @@ def _brute_force_families(max_p: int, max_g: int, max_dD: int) -> list[SurfacePa
                         for st_ in (Structure.TANGO, Structure.PRETANGO):
                             if not _violations(p, g, dD, e, ell, st_):
                                 found.append(SurfaceParams(p, g, dD, e, ell, st_))
-    found.sort(key=SurfaceParams.sort_key)
+    found.sort(key=_family_order)
     return found
 
 
@@ -122,7 +128,7 @@ def test_enumerated_tuples_revalidate(sweep_small):
 
 
 def test_enumeration_is_sorted_and_duplicate_free(sweep_small):
-    keys = [f.sort_key() for f in sweep_small]
+    keys = [_family_order(f) for f in sweep_small]
     assert keys == sorted(keys)
     assert len(set(sweep_small)) == len(sweep_small)
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -38,7 +37,17 @@ from raynaudsurf import (
 from raynaudsurf.cli import NMAX, main
 from raynaudsurf.surfcoh import _proven_claims, _side, _terms
 
-from conftest import PS1, PS2, PS3, PS4, h1neg_closed_form, oracle_decompose, result1_range
+from conftest import (
+    PS1,
+    PS2,
+    PS3,
+    PS4,
+    cert_add,
+    certainly_nonzero,
+    h1neg_closed_form,
+    oracle_decompose,
+    result1_range,
+)
 
 
 # ---------------------------------------------------------------- decomposition
@@ -409,7 +418,7 @@ def _leray_reference(f, n, a, b):
     """(h^0, h^1, h^2, chi) of Z_{a,b}^n with one validated Cert per summand.
 
     The engine's earlier expression: every side of every term certified,
-    each degree summed over its LERAY sides by the chain of Cert.__add__
+    each degree summed over its LERAY sides by the chain of cert_add
     from ZERO_CERT, and chi from certify's per-side chi.
     """
     certs = []
@@ -418,7 +427,7 @@ def _leray_reference(f, n, a, b):
         certs.append((None, cert) if side and side[0] else (cert, None))
     h = tuple(
         functools.reduce(
-            operator.add,
+            cert_add,
             ((sides[k].h1 if j else sides[k].h0) for sides in certs for k, j in LERAY[i] if sides[k] is not None),
             ZERO_CERT,
         )
@@ -638,7 +647,7 @@ def test_window_is_half_ell_on_every_valid_pair():
 def test_engine_certifies_nonvanishing_window(sweep_small):
     for f in sweep_small:
         for n in result1_range(f):
-            assert h_surface(f, 1, n).certainly_nonzero, (f, n)
+            assert certainly_nonzero(h_surface(f, 1, n)), (f, n)
 
 
 def test_small_p_vanishing_below_window(sweep_acceptance):
@@ -726,7 +735,7 @@ def test_zab_corrected_window_always_fires():
 def test_theorem_predicates_clean_on_reference_tuples():
     for params in (PS1, PS2, PS3, PS4):
         report = theorem_predicates(params)
-        assert report.stronger == ()
+        assert report.tally()[1] == ()
         assert all(e.verdict == "confirmed" for e in report.entries)
         names = {e.theorem for e in report.entries}
         assert "h2_vanishes_high" in names
@@ -753,7 +762,7 @@ def _reference_entries(f, nneg_min):
         cert = h_surface(f, 1, n)
         assert cert.hi != 0, (f, n)
         want.append(ThmEntry("h1_nonzero_near_zero", n, "nonvanishing", cert,
-                             "confirmed" if cert.certainly_nonzero else "stronger"))
+                             "confirmed" if certainly_nonzero(cert) else "stronger"))
     if p in (2, 3):
         want += [ThmEntry("h1_zero_below_window", n, "vanishing", ZERO_CERT, "confirmed")
                  for n in range(nneg_min, h1_nonvanishing_window(f))]
@@ -789,11 +798,11 @@ def test_shared_claims_follow_every_key_part():
         report = theorem_predicates(f, nneg_min=nneg_min)
         entries = report.entries
         assert entries == _reference_entries(f, nneg_min), (f, nneg_min)
-        # The tally read by checks, stronger and to_json agrees with the
-        # expanded listing.
-        assert report.checks == len(entries)
-        assert report.stronger == tuple(e for e in entries if e.verdict == "stronger")
-        assert report.checks - len(report.stronger) == sum(e.verdict == "confirmed" for e in entries)
+        # The tally read by to_json agrees with the expanded listing.
+        checks, stronger = report.tally()
+        assert checks == len(entries)
+        assert stronger == tuple(e for e in entries if e.verdict == "stronger")
+        assert checks - len(stronger) == sum(e.verdict == "confirmed" for e in entries)
 
 
 def test_sweep_builds_each_group_claims_once(sweep_acceptance):
@@ -856,9 +865,10 @@ def test_report_counts_an_unresolved_check():
     unresolved = ThmEntry("h1_nonzero_near_zero", -1, "nonvanishing", Cert(0, 2), "stronger")
     proven = ThmEntry("h0_zero_negative", range(-5, 0), "vanishing", ZERO_CERT, "confirmed")
     report = ThmReport(PS1, (unresolved, proven))
-    assert report.checks == 6
-    assert report.stronger == (unresolved,)
-    assert report.checks - len(report.stronger) == 5
+    checks, stronger = report.tally()
+    assert checks == 6
+    assert stronger == (unresolved,)
+    assert checks - len(stronger) == 5
     assert [e.n for e in report.entries] == [-1, -5, -4, -3, -2, -1]
     blob = report.to_json()
     assert (blob["checks"], blob["confirmed"]) == (6, 5)
